@@ -79,13 +79,19 @@ inline std::size_t threads_flag(const Flags& flags) {
   return static_cast<std::size_t>(std::max<std::int64_t>(1, t));
 }
 
-/// Engine shard count from --shards. 0 (the default) runs the serial
-/// engine; K >= 1 runs the sharded conservative-time-window engine with K
-/// lanes inside ONE simulation (orthogonal to --threads, which parallelizes
-/// across replicas). See docs/architecture.md#sharded-execution.
+/// Engine shard count from --shards (default 1): K lanes of the
+/// conservative-time-window engine inside ONE simulation (orthogonal to
+/// --threads, which parallelizes across replicas). The trajectory is the
+/// same for every K. Exits 2 on K < 1, like any other flag error. See
+/// docs/architecture.md#sharded-execution.
 inline std::size_t shards_flag(const Flags& flags) {
-  const auto s = flags.get_int("shards", 0);
-  return static_cast<std::size_t>(std::max<std::int64_t>(0, s));
+  const auto s = flags.get_int("shards", 1);
+  if (s < 1) {
+    std::fprintf(stderr, "%s: invalid shard count '%lld' in --shards\n",
+                 flags.program().c_str(), static_cast<long long>(s));
+    std::exit(2);
+  }
+  return static_cast<std::size_t>(s);
 }
 
 /// Parses a comma-separated list of shard counts ("1,2,4,8"); empty input
@@ -161,8 +167,7 @@ inline void apply_obs_flags(const Flags& flags, std::vector<ReplicaSpec>& specs)
   const std::string trace_prefix = flags.get_string("trace", "");
   const bool spans = flags.get_bool("spans", false);
   // --shards rides along with the shared flags so every spec-driven bench
-  // can run on the sharded engine (benches that force SamplerKind::Oracle
-  // get the clear exit-2 setup error).
+  // runs at the requested lane count.
   const std::size_t shards = shards_flag(flags);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     specs[i].cfg.shards = shards;

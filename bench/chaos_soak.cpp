@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(flags.get_int("plans", smoke ? 24 : 300));
   const auto n = static_cast<std::size_t>(flags.get_int("n", 48));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
-  const std::size_t shards = shards_flag(flags) == 0 ? 1 : shards_flag(flags);
+  const std::size_t shards = shards_flag(flags);
   const auto replay_every =
       static_cast<std::size_t>(flags.get_int("replay-every", 8));
   const std::int64_t only_case = flags.get_int("case", -1);

@@ -342,41 +342,19 @@ void BM_CreateMessageSteadyState(benchmark::State& state) {
 }
 BENCHMARK(BM_CreateMessageSteadyState);
 
-// Full engine send→dispatch round trip, quantifying the observability hook
-// overhead (docs/observability.md quotes these numbers). Arg(0): null trace
-// sink — the production default, where every hook is one pointer test.
-// Arg(1): a minimal counting sink installed, paying the virtual record()
-// call per hook.
+// ---------------------------------------------------------------------------
+// Engine primitives (docs/architecture.md#sharded-execution): the per-window
+// costs the conservative time window must amortize, and the full
+// send→dispatch round trip with and without a trace sink (the observability
+// hook overhead docs/observability.md quotes).
+
+/// A minimal counting sink: pays the virtual record() call per hook.
 struct CountingTraceSink final : obs::TraceSink {
   std::uint64_t records = 0;
   void record(const obs::TraceRecord&) override { ++records; }
 };
 
 struct SinkProtocol final : Protocol {};
-
-void BM_EngineSendDispatch(benchmark::State& state) {
-  Engine engine(13);
-  const Address a = engine.add_node(1);
-  const Address b = engine.add_node(2);
-  engine.attach(a, std::make_unique<SinkProtocol>());
-  engine.attach(b, std::make_unique<SinkProtocol>());
-  engine.start_node(a);
-  engine.start_node(b);
-  engine.run_all();
-  CountingTraceSink sink;
-  if (state.range(0) != 0) engine.set_trace_sink(&sink);
-  for (auto _ : state) {
-    engine.send_message(a, b, 0, std::make_unique<BenchPayload>());
-    engine.run_all();
-    benchmark::DoNotOptimize(engine.events_dispatched());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_EngineSendDispatch)->Arg(0)->Arg(1);
-
-// ---------------------------------------------------------------------------
-// Sharded-engine primitives (docs/architecture.md#sharded-execution): the
-// per-window costs the conservative time window must amortize.
 
 void BM_WindowCrewRound(benchmark::State& state) {
   // One empty window round: wake the K-1 workers, run a no-op lane each,
@@ -400,7 +378,6 @@ void BM_CrossShardMailbox(benchmark::State& state) {
   };
   const auto batch = static_cast<std::size_t>(state.range(0));
   TwoTierQueue queue;
-  queue.set_keyed_ordering(true);
   SlotPool<PayloadRef> pool;
   std::vector<MailboxEntry> mailbox;
   mailbox.reserve(batch);
@@ -411,7 +388,7 @@ void BM_CrossShardMailbox(benchmark::State& state) {
     for (std::size_t i = 0; i < batch; ++i) {
       SlimEvent ev{};
       ev.time = now + 10;
-      ev.seq = counter++;  // content-addressed key, as in the sharded engine
+      ev.seq = counter++;  // content-addressed key, as in the engine
       ev.kind = EventKind::Message;
       mailbox.push_back(MailboxEntry{ev, shared});
     }
@@ -432,11 +409,11 @@ void BM_CrossShardMailbox(benchmark::State& state) {
 BENCHMARK(BM_CrossShardMailbox)->Arg(16)->Arg(256)->Arg(4096);
 
 void BM_ShardedSendDispatch(benchmark::State& state) {
-  // Full sharded send→window→dispatch round trip. Arg(1): both nodes live in
-  // the single shard (no mailbox, inline crew). Arg(2): sender and receiver
-  // on different shards, so every message crosses a mailbox and each window
-  // pays a real crew round. The delta against BM_EngineSendDispatch is the
-  // total window-machinery overhead per message.
+  // Full send→window→dispatch round trip with no trace sink (the production
+  // default, where every hook is one pointer test). Arg(1): both nodes live
+  // in the single shard (no mailbox, inline crew). Arg(2): sender and
+  // receiver on different shards, so every message crosses a mailbox and
+  // each window pays a real crew round.
   Engine engine(13, TransportConfig{}, static_cast<std::size_t>(state.range(0)));
   const Address a = engine.add_node(1);
   const Address b = engine.add_node(2);
@@ -455,13 +432,12 @@ void BM_ShardedSendDispatch(benchmark::State& state) {
 BENCHMARK(BM_ShardedSendDispatch)->Arg(1)->Arg(2);
 
 void BM_ShardedSendDispatchTraced(benchmark::State& state) {
-  // BM_ShardedSendDispatch with a trace sink installed — the cost of a
-  // recorded hook per message on the sharded engine. At K=1 the crew runs
-  // inline and only one lane ever records, so trace_message takes the
-  // lock-free branch (shards_ > 1 gates the mutex); the delta against
-  // BM_ShardedSendDispatch/1 is the pure record() cost, matching the serial
-  // engine's BM_EngineSendDispatch/1 delta. At K=2 the same hook pays the
-  // trace mutex, so /2 minus /1 overhead is the lock's price per record.
+  // BM_ShardedSendDispatch with a counting trace sink installed — the cost
+  // of a recorded hook per message. At K=1 the crew runs inline and only one
+  // lane ever records, so record_trace takes the lock-free branch
+  // (shards_ > 1 gates the mutex); the delta against BM_ShardedSendDispatch/1
+  // is the pure record() cost. At K=2 the same hook pays the trace mutex, so
+  // /2 minus /1 overhead is the lock's price per record.
   Engine engine(13, TransportConfig{}, static_cast<std::size_t>(state.range(0)));
   const Address a = engine.add_node(1);
   const Address b = engine.add_node(2);

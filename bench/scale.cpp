@@ -96,9 +96,9 @@ int main(int argc, char** argv) {
     tier = {{std::begin(kSmokeSizes), std::end(kSmokeSizes)},
             {std::begin(kSmokeRepeats), std::end(kSmokeRepeats)}};
   }
-  // --xl swaps in the sharded-engine scale tier (N = 2^20, 2^21): one
-  // replica each, far beyond what the serial sweep attempts. Meant to be
-  // combined with --shards and usually a reduced --max-cycles.
+  // --xl swaps in the XL scale tier (N = 2^20, 2^21): one replica each, far
+  // beyond what the full sweep attempts. Meant to be combined with --shards
+  // and usually a reduced --max-cycles.
   if (flags.get_bool("xl", false)) {
     tier.sizes = {std::size_t{1} << 20, std::size_t{1} << 21};
     tier.repeats = {1, 1};
@@ -113,8 +113,7 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> shard_sweep =
       parse_shard_list(flags, flags.get_string("shard-sweep", ""));
   // --profile <file>: window-profiler Chrome trace for the largest main-
-  // sweep run (sharded mode only; the experiment rejects --profile with
-  // --shards 0). Shard-sweep runs write derived "<stem>_K<k><ext>" files.
+  // sweep run. Shard-sweep runs write derived "<stem>_K<k><ext>" files.
   const std::string profile_path = flags.get_string("profile", "");
   const bool spans_enabled = flags.get_bool("spans", false);
   BenchReport report(flags, "scale");
@@ -217,9 +216,9 @@ int main(int argc, char** argv) {
   for (const auto& run : runs) report.add_run(run.label, run.result);
 
   if (!shard_sweep.empty()) {
-    // Same network, same seed, one run per shard count: within the sharded
-    // family the trajectory is identical for every K, so the wall-clock
-    // ratio isolates the engine's intra-run scaling.
+    // Same network, same seed, one run per shard count: the trajectory is
+    // identical for every K, so the wall-clock ratio isolates the engine's
+    // intra-run scaling.
     const std::size_t sweep_n = tier.sizes.back();
     std::printf("=== shard sweep: N=%zu, K in {", sweep_n);
     for (std::size_t i = 0; i < shard_sweep.size(); ++i) {

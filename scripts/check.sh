@@ -11,9 +11,9 @@
 #                       far less memory overhead, and runs where ASan cannot
 #                       (e.g. ptrace/ASLR-restricted CI runners)
 #              tsan  -> -fsanitize=thread; runs only the concurrency-heavy
-#                       tests (parallel utilities + sharded engine). TSan is
-#                       incompatible with ASan/UBSan in one binary and ~10x
-#                       slower, so the full suite stays on the other gates.
+#                       tests (parallel utilities + the engine at K > 1).
+#                       TSan is incompatible with ASan/UBSan in one binary and
+#                       ~10x slower, so the full suite stays on the other gates.
 set -euo pipefail
 
 sanitizer="${2:-asan}"
@@ -23,13 +23,15 @@ case "${sanitizer}" in
   ubsan) san_flags="undefined" ;;
   tsan)
     san_flags="thread"
-    # The serial tests exercise no threads, and golden replays take far too
-    # long under TSan's instrumentation; target the code that actually runs
-    # worker crews. ThreadPool/ParallelFor/ParallelMap cover the thread-pool
-    # utilities (tests/test_parallel.cpp), ParallelEngine the sharded window
-    # engine (tests/test_parallel_engine.cpp — cross-K determinism under
-    # real thread interleaving is exactly what TSan stresses), WindowCrew
-    # the crew barrier itself.
+    # Most tests run the engine at K = 1 and exercise no threads, and golden
+    # replays take far too long under TSan's instrumentation; target the code
+    # that actually runs worker crews. ThreadPool/ParallelFor/ParallelMap
+    # cover the thread-pool utilities (tests/test_parallel.cpp),
+    # ParallelEngine the window engine at K > 1
+    # (tests/test_parallel_engine.cpp — cross-K determinism under real
+    # thread interleaving is exactly what TSan stresses, including the
+    # Oracle sampler's in-window liveness reads), WindowCrew the crew
+    # barrier itself.
     test_filter='ThreadPool|ParallelFor|ParallelMap|ParallelEngine|WindowCrew|HardwareThreads'
     ;;
   *)

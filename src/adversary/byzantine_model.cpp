@@ -94,13 +94,9 @@ double ByzantineModel::controlled_fraction(const DescriptorList& entries) const 
   return static_cast<double>(controlled) / static_cast<double>(entries.size());
 }
 
-FaultModel::SendDecision ByzantineModel::on_send(SimTime now, Address from, Address to) {
-  return inner_ != nullptr ? inner_->on_send(now, from, to) : SendDecision{};
-}
-
-FaultModel::SendDecision ByzantineModel::on_send_rng(SimTime now, Address from, Address to,
-                                                     Rng& rng) {
-  return inner_ != nullptr ? inner_->on_send_rng(now, from, to, rng) : SendDecision{};
+FaultModel::SendDecision ByzantineModel::on_send(SimTime now, Address from, Address to,
+                                                 Rng& rng) {
+  return inner_ != nullptr ? inner_->on_send(now, from, to, rng) : SendDecision{};
 }
 
 SimTime ByzantineModel::dark_until(SimTime now, Address addr) const {
@@ -160,18 +156,9 @@ FaultModel::TamperVerdict ByzantineModel::corrupt_frame(const Payload& payload, 
 }
 
 FaultModel::TamperVerdict ByzantineModel::on_payload(SimTime now, Address from, Address to,
-                                                     const Payload& payload) {
+                                                     const Payload& payload, Rng& rng) {
   if (inner_ != nullptr) {
-    auto v = inner_->on_payload(now, from, to, payload);
-    if (v.action != TamperVerdict::Action::Deliver) return v;
-  }
-  return tamper(now, from, to, payload, rng_);
-}
-
-FaultModel::TamperVerdict ByzantineModel::on_payload_rng(SimTime now, Address from, Address to,
-                                                         const Payload& payload, Rng& rng) {
-  if (inner_ != nullptr) {
-    auto v = inner_->on_payload_rng(now, from, to, payload, rng);
+    auto v = inner_->on_payload(now, from, to, payload, rng);
     if (v.action != TamperVerdict::Action::Deliver) return v;
   }
   return tamper(now, from, to, payload, rng);

@@ -12,12 +12,15 @@
 // happens to parse can never smuggle an out-of-range address into a
 // victim's tables.
 //
-// All randomness comes from a private Rng seeded by the plan, so the same
-// plan replays identically over any base trajectory and across bench
-// --threads settings. With no plan installed the engine's tamper hook is a
-// no-op and the simulation stays bit-identical — the golden replays pin
-// this down. Chains an already-installed FaultModel (e.g. a FaultInjector):
-// on_send and dark_until delegate, so crash plans compose with adversaries.
+// Tamper decisions draw from the sending node's transport stream (see
+// FaultModel), so they are identical for every shard count; the plan-seeded
+// private Rng only picks the adversary set and the sybil pools at install
+// time. The same plan therefore replays identically over any base
+// trajectory and across bench --threads settings. With no plan installed
+// the engine's tamper hook is a no-op and the simulation stays
+// bit-identical — the golden replays pin this down. Chains an
+// already-installed FaultModel (e.g. a FaultInjector): on_send, on_payload
+// and dark_until delegate, so crash plans compose with adversaries.
 #pragma once
 
 #include <memory>
@@ -59,22 +62,16 @@ class ByzantineModel : public FaultModel {
   double controlled_fraction(const DescriptorList& entries) const;
 
   // --- FaultModel ---------------------------------------------------------
-  SendDecision on_send(SimTime now, Address from, Address to) override;
+  SendDecision on_send(SimTime now, Address from, Address to, Rng& rng) override;
   SimTime dark_until(SimTime now, Address addr) const override;
-  /// Serial path: draws from the model's private plan-seeded rng_.
-  TamperVerdict on_payload(SimTime now, Address from, Address to,
-                           const Payload& payload) override;
-  /// Sharded path: identical tamper logic, but randomness comes from the
-  /// sending node's transport stream (shard-count independent; the model's
-  /// own state stays read-only inside windows). The sharded engine calls
-  /// these; the chained inner model is delegated through its own _rng hooks.
-  SendDecision on_send_rng(SimTime now, Address from, Address to, Rng& rng) override;
-  TamperVerdict on_payload_rng(SimTime now, Address from, Address to,
-                               const Payload& payload, Rng& rng) override;
+  /// The chained inner model gets the first verdict; an undisturbed message
+  /// then faces the tamper logic. The model's own state stays read-only
+  /// inside windows.
+  TamperVerdict on_payload(SimTime now, Address from, Address to, const Payload& payload,
+                           Rng& rng) override;
 
  private:
-  /// The tamper core shared by both on_payload paths; `rng` is the model's
-  /// private stream (serial) or the sender's transport stream (sharded).
+  /// The tamper logic proper; `rng` is the sender's transport stream.
   TamperVerdict tamper(SimTime now, Address from, Address to, const Payload& payload,
                        Rng& rng);
   /// An ID sharing a long prefix with `victim` (low bits re-randomized).
@@ -86,6 +83,7 @@ class ByzantineModel : public FaultModel {
   bool addresses_deliverable(const Payload& payload) const;
 
   AdversaryPlan plan_;
+  // Install-time only: picks the adversary set and the sybil pools.
   Rng rng_;
   Engine* engine_ = nullptr;
   FaultModel* inner_ = nullptr;  // chained benign model (may be null)

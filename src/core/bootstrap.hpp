@@ -154,9 +154,9 @@ class ProbeMessage final : public Payload, public PooledAlloc<ProbeMessage> {
 };
 
 /// Shared per-experiment counters (owned by the harness, written by every
-/// node's protocol instance). Under the sharded engine the harness hands
-/// each node the stats block of its owning shard, so one block is only ever
-/// written by one shard lane.
+/// node's protocol instance). The harness hands each node the stats block
+/// of its owning shard, so one block is only ever written by one shard
+/// lane.
 struct BootstrapStats {
   std::uint64_t requests_sent = 0;
   std::uint64_t replies_sent = 0;

@@ -25,23 +25,20 @@ BootstrapExperiment::BootstrapExperiment(ExperimentConfig config) : config_(std:
   BSVC_CHECK(config_.n >= 2);
   TransportConfig transport;
   transport.drop_probability = config_.drop_probability;
-  // Reject a bad transport here, before the Engine's abort-based backstop:
-  // a bench typo (drop=1.2, min>max) gets a clear message and exit(2).
+  // Reject a bad transport or shard count here, before the Engine's
+  // abort-based backstop: a bench typo (drop=1.2, min>max, shards=0) gets a
+  // clear message and exit(2).
   if (const std::string err = transport.validate(); !err.empty()) {
     config_error("transport config", err);
   }
+  if (config_.shards < 1) config_error("engine config", "shards must be >= 1");
   // The retry/timeout knobs are only coherent relative to the transport's
   // minimum latency, so they are checked here — where both are known.
   if (const std::string err = config_.bootstrap.validate(transport.min_latency);
       !err.empty()) {
     config_error("bootstrap config", err);
   }
-  if (config_.shards != 0 && config_.sampler == SamplerKind::Oracle) {
-    config_error("sampler config",
-                 "SamplerKind::Oracle is incompatible with sharded execution "
-                 "(it samples global engine state from inside node callbacks)");
-  }
-  stats_blocks_.resize(config_.shards == 0 ? 1 : config_.shards);
+  stats_blocks_.resize(config_.shards);
   engine_ = std::make_unique<Engine>(config_.seed, transport, config_.shards);
   if (!config_.trace_path.empty()) {
     trace_sink_ = std::make_unique<obs::JsonlTraceSink>(config_.trace_path);
@@ -53,12 +50,6 @@ BootstrapExperiment::BootstrapExperiment(ExperimentConfig config) : config_(std:
     engine_->set_span_log(span_log_.get());
   }
   if (!config_.profile_path.empty()) {
-    if (config_.shards == 0) {
-      config_error("profiler config",
-                   "--profile requires the sharded engine (pass --shards K >= 1): "
-                   "the profiler accounts window-crew phases, which the serial "
-                   "engine does not have");
-    }
     profiler_ = std::make_unique<obs::EngineProfiler>(config_.shards);
     engine_->set_profiler(profiler_.get());
   }
@@ -99,16 +90,16 @@ Address BootstrapExperiment::make_node() {
   const SimTime start_delay =
       built_ ? engine.rng().below(config_.bootstrap.delta)
              : config_.warmup_cycles * config_.bootstrap.delta + engine.rng().below(window);
-  BootstrapStats* stats =
-      &stats_blocks_[config_.shards == 0 ? 0 : addr % config_.shards].stats;
+  BootstrapStats* stats = &stats_blocks_[engine.shard_of(addr)].stats;
   auto proto = std::make_unique<BootstrapProtocol>(config_.bootstrap, sampler, stats,
                                                    start_delay);
   bootstrap_ref_ = attach_typed(engine, addr, std::move(proto));
 
   // Joiners seed their Newscast view from random alive contacts (a joining
-  // node knows some existing members, as in any deployment).
+  // node knows some existing members, as in any deployment). Drawn at the
+  // barrier from the engine stream.
   if (built_ && config_.sampler == SamplerKind::Newscast) {
-    OracleSampler contacts(engine, addr);
+    OracleSampler contacts(engine, addr, engine.rng());
     newscast_ref_.of(engine, addr).init_view(contacts.sample(config_.bootstrap_contacts));
   }
   if (config_.node_extension) config_.node_extension(engine, addr);

@@ -34,13 +34,9 @@ enum class SamplerKind {
 struct ExperimentConfig {
   std::size_t n = std::size_t{1} << 12;
   std::uint64_t seed = 1;
-  /// Engine shard count: 0 runs the serial engine (bit-identical to the
-  /// historical goldens); K >= 1 runs the sharded engine with K worker
-  /// lanes. Within the sharded family the trajectory is identical for every
-  /// K at a fixed seed (K = 1 is the inline reference). Incompatible with
-  /// SamplerKind::Oracle, which samples global engine state from inside
-  /// node callbacks.
-  std::size_t shards = 0;
+  /// Engine shard count K >= 1 (worker lanes). The trajectory is identical
+  /// for every K at a fixed seed (K = 1 is the inline reference).
+  std::size_t shards = 1;
   BootstrapConfig bootstrap;
   NewscastConfig newscast;
   SamplerKind sampler = SamplerKind::Newscast;
@@ -85,8 +81,7 @@ struct ExperimentConfig {
   bool spans = false;
   /// When non-empty, an EngineProfiler accounts every window's crew phases
   /// and writes Chrome trace-event JSON here at the end of the run (load in
-  /// chrome://tracing or Perfetto). Requires shards >= 1 — the profiler
-  /// measures the window crew; rejected with a config error otherwise.
+  /// chrome://tracing or Perfetto).
   std::string profile_path;
   /// Scripted fault plan (partitions, correlated loss, latency faults,
   /// dup/reorder, crash–recover; see docs/faults.md). An empty plan installs
@@ -187,9 +182,9 @@ class BootstrapExperiment {
   std::unique_ptr<FaultInjector> injector_;
   std::unique_ptr<obs::Sampler> sampler_;
   std::unique_ptr<IdGenerator> ids_;
-  /// Protocol-written stats, one cache-line-aligned block per shard (a
-  /// single block in serial mode): each node's protocol instance writes the
-  /// block of its owning shard, so shard lanes never contend or false-share.
+  /// Protocol-written stats, one cache-line-aligned block per shard: each
+  /// node's protocol instance writes the block of its owning shard, so shard
+  /// lanes never contend or false-share.
   /// Sized once in the constructor — protocols hold raw pointers into it.
   struct alignas(64) StatsBlock {
     BootstrapStats stats;

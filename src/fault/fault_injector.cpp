@@ -29,12 +29,8 @@ SimTime FaultInjector::dark_until(SimTime now, Address addr) const {
   return 0;
 }
 
-FaultModel::SendDecision FaultInjector::on_send(SimTime now, Address from, Address to) {
-  return on_send_rng(now, from, to, rng_);
-}
-
-FaultModel::SendDecision FaultInjector::on_send_rng(SimTime now, Address from, Address to,
-                                                    Rng& rng) {
+FaultModel::SendDecision FaultInjector::on_send(SimTime now, Address from, Address to,
+                                                Rng& rng) {
   SendDecision d;
   for (const PartitionSpec& p : plan_.partitions) {
     if (p.window.contains(now) && p.group_of(from) != p.group_of(to)) {

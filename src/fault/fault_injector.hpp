@@ -1,9 +1,10 @@
 // FaultInjector: the scripted FaultModel. Executes a FaultPlan against an
 // engine — partition cuts, correlated link loss, latency spikes / Pareto
 // heavy tails, duplication, reordering hold-back, and crash–recover dark
-// windows. All randomness comes from a private Rng seeded by the plan, so
-// installing (or editing) a plan never perturbs the engine or node RNG
-// streams of the underlying trajectory.
+// windows. Per-message verdicts draw from the sender's transport stream (see
+// FaultModel); the plan-seeded private Rng only picks fractional-crash
+// victims at barriers, so installing a plan never perturbs the engine or
+// node protocol streams of the underlying trajectory.
 #pragma once
 
 #include <memory>
@@ -33,12 +34,7 @@ class FaultInjector : public FaultModel {
   const FaultPlan& plan() const { return plan_; }
 
   // --- FaultModel ---------------------------------------------------------
-  /// Serial path: draws from the injector's private plan-seeded rng_.
-  SendDecision on_send(SimTime now, Address from, Address to) override;
-  /// Sharded path: same verdict logic, but every draw comes from the
-  /// sender's transport stream, so decisions are shard-count independent
-  /// and shard workers never touch shared RNG state.
-  SendDecision on_send_rng(SimTime now, Address from, Address to, Rng& rng) override;
+  SendDecision on_send(SimTime now, Address from, Address to, Rng& rng) override;
   SimTime dark_until(SimTime now, Address addr) const override;
 
   /// True if `addr` is dark at `now` (convenience for tests/benches).
@@ -50,6 +46,7 @@ class FaultInjector : public FaultModel {
   void schedule_partition_gauge(Engine& engine);
 
   FaultPlan plan_;
+  // Barrier-side only: picks fractional-crash victims.
   Rng rng_;
   // Resolved crash windows per node (explicit addrs at install time,
   // fractional victims picked at window.start).

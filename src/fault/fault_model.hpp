@@ -20,9 +20,15 @@
 namespace bsvc {
 
 /// Interface consulted by Engine::send_message and Engine::dispatch.
-/// Implementations own their randomness (typically a dedicated Rng seeded
-/// from the plan) so fault decisions never perturb the engine or node RNG
-/// streams of the underlying trajectory.
+///
+/// Every per-message random draw comes from the `Rng&` the engine passes in:
+/// the sending node's private transport stream. A verdict is therefore a
+/// pure function of (trajectory, sender stream), identical for every shard
+/// count, and shard workers never touch shared RNG state. Hooks run on shard
+/// workers, so model state they touch must be read-only inside a window
+/// (plans are immutable while a window runs) or atomic (metric counters).
+/// Models may own a private Rng for barrier-side decisions (e.g. picking
+/// crash victims in a scheduled call), never for per-message verdicts.
 class FaultModel {
  public:
   /// Verdict for one message about to enter the transport.
@@ -46,20 +52,8 @@ class FaultModel {
   virtual ~FaultModel() = default;
 
   /// Consulted once per send, after the link filter and before the base
-  /// drop model. May mutate internal state (RNG, counters).
-  virtual SendDecision on_send(SimTime now, Address from, Address to) = 0;
-
-  /// Sharded-engine variant of on_send: every random draw must come from
-  /// `rng` (the sending node's private transport stream) instead of model-
-  /// owned state, so the verdict is a pure function of (trajectory, sender
-  /// stream) and identical for every shard count. Plan lookups and metric
-  /// counters may still be touched — both are safe from shard workers (the
-  /// plan is immutable while a window runs; counters are atomic). Defaults
-  /// to the serial hook for models that are never run sharded.
-  virtual SendDecision on_send_rng(SimTime now, Address from, Address to, Rng& rng) {
-    (void)rng;
-    return on_send(now, from, to);
-  }
+  /// drop model. Draws only from `rng`, the sender's transport stream.
+  virtual SendDecision on_send(SimTime now, Address from, Address to, Rng& rng) = 0;
 
   /// If `addr` is dark (crashed-but-recovering) at `now`, returns the
   /// recovery time (> now); otherwise 0. While dark a node keeps its state:
@@ -86,25 +80,17 @@ class FaultModel {
   /// Consulted once per send after the on_send verdict (survivors only),
   /// letting a model act on message *content* — the hook Byzantine behavior
   /// models build on (descriptor poisoning, reply suppression, wire
-  /// corruption). Benign models inherit this no-op, so the scripted
-  /// FaultInjector and the null model stay bit-identical to the pre-tamper
-  /// engine.
+  /// corruption). Same contract as on_send: draws come from `rng` only.
+  /// Benign models inherit this no-op, so the scripted FaultInjector and the
+  /// null model stay bit-identical to the pre-tamper engine.
   virtual TamperVerdict on_payload(SimTime now, Address from, Address to,
-                                   const Payload& payload) {
+                                   const Payload& payload, Rng& rng) {
     (void)now;
     (void)from;
     (void)to;
     (void)payload;
-    return {};
-  }
-
-  /// Sharded-engine variant of on_payload, same contract as on_send_rng:
-  /// draws come from the sender's stream, shared mutable model state is off
-  /// limits. Defaults to the serial hook.
-  virtual TamperVerdict on_payload_rng(SimTime now, Address from, Address to,
-                                       const Payload& payload, Rng& rng) {
     (void)rng;
-    return on_payload(now, from, to, payload);
+    return {};
   }
 };
 

@@ -28,8 +28,8 @@ namespace bsvc::obs {
 /// Monotone event count. Increments are relaxed atomics so sharded-engine
 /// workers may bump shared handles concurrently; totals are only *read* at
 /// window barriers (or after the run), where the crew's synchronization
-/// makes every increment visible. Under the serial engine the atomic costs
-/// one uncontended lock-free add — negligible next to the dispatch path.
+/// makes every increment visible. At K = 1 the atomic costs one
+/// uncontended lock-free add — negligible next to the dispatch path.
 class Counter {
  public:
   void inc() { value_.fetch_add(1, std::memory_order_relaxed); }

@@ -1,4 +1,4 @@
-// Engine profiler for the sharded window engine: per-shard wall-clock
+// Engine profiler for the window engine: per-shard wall-clock
 // accounting that splits every conservative time window into four phases —
 // dispatch (in-window event processing), mailbox drain (cross-shard
 // hand-off), barrier stall (waiting for the slowest lane) and idle

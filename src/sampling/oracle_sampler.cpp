@@ -15,11 +15,10 @@ void OracleSampler::sample_into(std::size_t n, DescriptorList& out) {
   // back to the exhaustive path if most nodes are dead.
   const auto total = static_cast<std::uint32_t>(engine_.node_count());
   if (total == 0) return;
-  auto& rng = engine_.rng();
   const std::size_t base = out.size();
   if (engine_.alive_count() * 2 < engine_.node_count() || n * 4 > engine_.alive_count()) {
     auto alive = engine_.alive_addresses();
-    rng.shuffle(alive);
+    rng_.shuffle(alive);
     for (auto addr : alive) {
       if (addr == self_) continue;
       out.push_back(engine_.descriptor_of(addr));
@@ -31,7 +30,7 @@ void OracleSampler::sample_into(std::size_t n, DescriptorList& out) {
   std::size_t guard = 0;
   while (out.size() - base < n && guard < 64 * n + 256) {
     ++guard;
-    const auto addr = static_cast<Address>(rng.below(total));
+    const auto addr = static_cast<Address>(rng_.below(total));
     if (addr == self_ || taken_[addr] || !engine_.is_alive(addr)) continue;
     taken_[addr] = true;
     out.push_back(engine_.descriptor_of(addr));

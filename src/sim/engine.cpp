@@ -7,8 +7,6 @@
 #include <utility>
 
 #include "common/assert.hpp"
-#include "common/logging.hpp"
-#include <cstdio>
 
 namespace bsvc {
 
@@ -37,6 +35,11 @@ std::string TransportConfig::validate() const {
     return "drop_probability " + std::to_string(drop_probability) +
            " outside [0, 1]";
   }
+  if (min_latency < 1) {
+    // The lookahead: a zero-latency transport has no window inside which
+    // shards can run independently.
+    return "min_latency " + std::to_string(min_latency) + " < 1 (the engine's window width)";
+  }
   if (min_latency > max_latency) {
     return "min_latency " + std::to_string(min_latency) + " > max_latency " +
            std::to_string(max_latency);
@@ -51,19 +54,15 @@ thread_local Engine::ShardCtx* Engine::active_shard_ = nullptr;
 Engine::Engine(std::uint64_t seed, TransportConfig transport, std::size_t shards)
     : rng_(seed), node_seed_state_(seed ^ 0xA24BAED4963EE407ull), transport_(transport),
       shards_(shards) {
-  BSVC_CHECK_MSG(transport_.validate().empty(), "invalid TransportConfig");
-  if (shards_ == 0) return;
-  // min_latency is the conservative lookahead: a zero-latency transport has
-  // no window inside which shards can run independently.
-  BSVC_CHECK_MSG(transport_.min_latency >= 1,
-                 "sharded engine requires min_latency >= 1 (the lookahead)");
-  BSVC_CHECK_MSG(shards_ <= 4096, "shard count out of range");
+  const std::string transport_error = transport_.validate();
+  BSVC_CHECK_MSG(transport_error.empty(), transport_error.c_str());
+  BSVC_CHECK_MSG(shards_ >= 1 && shards_ <= 4096, "shard count outside [1, 4096]");
+  // min_latency is the conservative lookahead (validate() keeps it >= 1).
   window_ticks_ = transport_.min_latency;
   shard_ctx_.reserve(shards_);
   for (std::size_t i = 0; i < shards_; ++i) {
     auto ctx = std::make_unique<ShardCtx>();
     ctx->index = static_cast<std::uint32_t>(i);
-    ctx->queue.set_keyed_ordering(true);
     ctx->out.resize(shards_);
     shard_ctx_.push_back(std::move(ctx));
   }
@@ -74,8 +73,6 @@ Engine::Engine(std::uint64_t seed, TransportConfig transport, std::size_t shards
   // Events one shard dispatches per window; the paper-scale runs sit in the
   // hundreds, the top bucket absorbs bursts.
   shard_window_events_ = &metrics_.histogram("shard.window_events", 0.0, 4096.0, 64);
-  // Bound eagerly: the serial engine binds this lazily at the first corrupt
-  // frame, but lazy binding from inside a window would race on the handle.
   msg_corrupt_ = &metrics_.counter("msg.corrupt");
 }
 
@@ -88,10 +85,6 @@ void Engine::reset_traffic() {
 
 void Engine::set_profiler(obs::EngineProfiler* profiler) {
   if (profiler != nullptr) {
-    // The profiler measures the window crew; the serial engine has no
-    // windows to attribute. Experiment configs reject this combination
-    // with a friendly config error — the check here is the backstop.
-    BSVC_CHECK_MSG(shards_ != 0, "profiler requires the sharded engine");
     BSVC_CHECK_MSG(profiler->shards() == shards_, "profiler shard count mismatch");
     prof_dispatch_ns_.assign(shards_, 0);
     prof_drain_ns_.assign(shards_, 0);
@@ -99,37 +92,29 @@ void Engine::set_profiler(obs::EngineProfiler* profiler) {
     prof_mailbox_delta_.assign(shards_, 0);
   }
   profiler_ = profiler;
-  if (crew_ != nullptr) crew_->set_timing(profiler != nullptr);
+  crew_->set_timing(profiler != nullptr);
 }
 
 void Engine::set_fault_model(FaultModel* model) {
   fault_ = model;
   if (model != nullptr && fault_dup_ == nullptr) {
     fault_dup_ = &metrics_.counter("msg.dup");
-    fault_dup_skipped_ = &metrics_.counter("msg.dup.skipped");
     fault_dark_dropped_ = &metrics_.counter("fault.dark.dropped");
     fault_dark_deferred_ = &metrics_.counter("fault.dark.deferred");
-  }
-  if (model != nullptr && msg_corrupt_ == nullptr) {
-    msg_corrupt_ = &metrics_.counter("msg.corrupt");
   }
 }
 
 Address Engine::add_node(NodeId id) {
   BSVC_CHECK_MSG(nodes_.size() < kNullAddress, "address space exhausted");
-  BSVC_CHECK_MSG(active_shard_ == nullptr, "add_node inside a sharded window");
-  if (shards_ != 0) {
-    // Ordering keys pack the origin address into the top 24 bits.
-    BSVC_CHECK_MSG(nodes_.size() < (1u << 24),
-                   "sharded engine caps addresses below 2^24");
-  }
+  BSVC_CHECK_MSG(active_shard_ == nullptr, "add_node inside a window");
+  // Ordering keys pack the origin address into the top 24 bits.
+  BSVC_CHECK_MSG(nodes_.size() < (1u << 24), "the engine caps addresses below 2^24");
   Node node;
   node.id = id;
-  // Exactly one splitmix step of the shared seed state per node, as the
-  // serial engine has always done — golden replays pin this down. The
-  // transport stream is split off the same primary seed locally, so both
-  // streams depend only on (engine seed, address) and the sharded engine's
-  // transport draws are independent of the shard count.
+  // Exactly one splitmix step of the shared seed state per node — golden
+  // replays pin this down. The transport stream is split off the same
+  // primary seed locally, so both streams depend only on (engine seed,
+  // address) and transport draws are independent of the shard count.
   const std::uint64_t primary = splitmix64(node_seed_state_);
   node.rng = Rng(primary);
   std::uint64_t salted = primary ^ 0x9E3779B97F4A7C15ull;
@@ -164,7 +149,7 @@ Engine::TypeCounters& Engine::counters_for(const char* tag) {
 }
 
 void Engine::start_node(Address addr, SimTime delay) {
-  BSVC_CHECK_MSG(active_shard_ == nullptr, "start_node inside a sharded window");
+  BSVC_CHECK_MSG(active_shard_ == nullptr, "start_node inside a window");
   Node& node = node_at(addr);
   if (!node.alive) {
     node.alive = true;
@@ -184,17 +169,13 @@ void Engine::start_node(Address addr, SimTime delay) {
     ev.kind = EventKind::Start;
     ev.addr = addr;
     ev.slot = slot;
-    if (shards_ != 0) {
-      ev.seq = make_key(addr, node.order_counter++);
-      shard_ctx_[shard_of(addr)]->queue.push(ev);
-    } else {
-      push(ev);
-    }
+    ev.seq = make_key(addr, node.order_counter++);
+    shard_ctx_[shard_of(addr)]->queue.push(ev);
   }
 }
 
 void Engine::kill_node(Address addr) {
-  BSVC_CHECK_MSG(active_shard_ == nullptr, "kill_node inside a sharded window");
+  BSVC_CHECK_MSG(active_shard_ == nullptr, "kill_node inside a window");
   Node& node = node_at(addr);
   if (node.alive) {
     node.alive = false;
@@ -230,108 +211,17 @@ std::vector<Address> Engine::alive_addresses() const {
   return out;
 }
 
-Rng& Engine::node_rng(Address addr) { return node_at(addr).rng; }
-
-void Engine::send_message(Address from, Address to, ProtocolSlot slot, PayloadRef payload) {
-  BSVC_CHECK(payload);
-  BSVC_CHECK_MSG(to < nodes_.size(), "send to unknown address");
-  if (shards_ != 0) {
-    send_sharded(from, to, slot, std::move(payload));
-    return;
-  }
-  // The span id outlives tamper replacement below: a rewritten payload still
-  // travels on behalf of the same logical exchange.
-  const std::uint64_t span_id = payload->span;
-  ++traffic_.messages_sent;
-  traffic_.bytes_sent += payload->wire_bytes() + kUdpIpHeaderBytes;
-  counters_for(payload->metric_tag()).sent->inc();
-  if (trace_ != nullptr) trace_message(obs::TraceKind::Send, from, to, slot, *payload);
-  note_span(span_id, obs::SpanTransport::Send);
-
-  if (link_filter_ && !link_filter_(from, to)) {
-    ++traffic_.messages_dropped;
-    if (trace_ != nullptr) trace_message(obs::TraceKind::Drop, from, to, slot, *payload);
-    note_span(span_id, obs::SpanTransport::Drop);
-    return;
-  }
-  // Fault verdict before the base drop: a partition cut or correlated link
-  // loss kills the message outright; survivors still face the i.i.d. drop.
-  FaultModel::SendDecision fault;
-  if (fault_ != nullptr) {
-    fault = fault_->on_send(now_, from, to);
-    if (fault.drop) {
-      ++traffic_.messages_dropped;
-      if (trace_ != nullptr) trace_message(obs::TraceKind::Drop, from, to, slot, *payload);
-      note_span(span_id, obs::SpanTransport::Drop);
-      return;
-    }
-    // Tamper verdict: Byzantine senders may withhold, damage or rewrite the
-    // content. The byte accounting above already charged the original
-    // transmission; a rewritten payload travels in its place.
-    auto tamper = fault_->on_payload(now_, from, to, *payload);
-    using Action = FaultModel::TamperVerdict::Action;
-    if (tamper.action == Action::Suppress || tamper.action == Action::Corrupt) {
-      ++traffic_.messages_dropped;
-      if (tamper.action == Action::Corrupt) msg_corrupt_->inc();
-      if (trace_ != nullptr) trace_message(obs::TraceKind::Drop, from, to, slot, *payload);
-      note_span(span_id, obs::SpanTransport::Drop);
-      return;
-    }
-    if (tamper.action == Action::Replace) {
-      // Copy-on-write at the tamper point: only this transmission switches
-      // to the rewritten payload; other refs to the original are untouched.
-      BSVC_CHECK(tamper.replacement);
-      payload = std::move(tamper.replacement);
-    }
-  }
-  if (rng_.chance(transport_.drop_probability)) {
-    ++traffic_.messages_dropped;
-    if (trace_ != nullptr) trace_message(obs::TraceKind::Drop, from, to, slot, *payload);
-    note_span(span_id, obs::SpanTransport::Drop);
-    return;
-  }
-  SimTime latency;
-  if (fault.replace_latency) {
-    // Heavy-tail mode replaces the base draw entirely; the base RNG is NOT
-    // advanced, which is fine — determinism only requires that the same
-    // trajectory makes the same draws, not that draw counts match the
-    // no-fault run.
-    latency = fault.latency;
-  } else if (latency_model_) {
-    latency = latency_model_(from, to) + rng_.below(transport_.min_latency + 1);
-  } else {
-    latency = transport_.min_latency +
-              rng_.below(transport_.max_latency - transport_.min_latency + 1);
-  }
-  latency += fault.extra_delay;
-
-  SlimEvent ev;
-  ev.time = now_ + latency;
-  ev.kind = EventKind::Message;
-  ev.addr = to;
-  ev.from = from;
-  ev.slot = slot;
-  // Inject one extra copy, arriving duplicate_delay after the original (and
-  // sequenced after it on ties). A duplicate is a second reference to the
-  // same immutable payload — no deep copy, and no payload type can opt out,
-  // so the old "silently skipped when unclonable" hole is gone by
-  // construction (msg.dup.skipped stays 0; kept as a tripwire). The
-  // duplicate bypasses the base drop model (it already survived the fault
-  // layer's own verdict).
-  PayloadRef copy;
-  if (fault.duplicate) copy = payload;
-  ev.aux = payload_pool_.store(std::move(payload));
-  push(ev);
-  if (copy) {
-    ++traffic_.messages_duplicated;
-    traffic_.bytes_sent += copy->wire_bytes() + kUdpIpHeaderBytes;
-    fault_dup_->inc();
-    SlimEvent dup = ev;
-    dup.time = ev.time + fault.duplicate_delay;
-    dup.aux = payload_pool_.store(std::move(copy));
-    push(dup);
-  }
+SimTime Engine::now() const {
+  const ShardCtx* sc = active_shard_;
+  return sc != nullptr ? sc->now : now_;
 }
+
+Rng& Engine::rng() {
+  BSVC_CHECK_MSG(active_shard_ == nullptr, "Engine::rng() used inside a window");
+  return rng_;
+}
+
+Rng& Engine::node_rng(Address addr) { return node_at(addr).rng; }
 
 Engine::TypeDelta& Engine::delta_for(ShardCtx& sc, const char* tag) {
   // Same tag-resolution strategy as counters_for, against the shard's
@@ -343,7 +233,9 @@ Engine::TypeDelta& Engine::delta_for(ShardCtx& sc, const char* tag) {
   return sc.type_deltas.back();
 }
 
-void Engine::send_sharded(Address from, Address to, ProtocolSlot slot, PayloadRef payload) {
+void Engine::send_message(Address from, Address to, ProtocolSlot slot, PayloadRef payload) {
+  BSVC_CHECK(payload);
+  BSVC_CHECK_MSG(to < nodes_.size(), "send to unknown address");
   ShardCtx* sc = active_shard_;
   // In-window sends come from the sender's own shard (Context::send); the
   // sender's streams and counter are that shard's private state.
@@ -352,8 +244,9 @@ void Engine::send_sharded(Address from, Address to, ProtocolSlot slot, PayloadRe
   Node& sender = node_at(from);
   const SimTime now = sc != nullptr ? sc->now : now_;
   TrafficStats& tr = sc != nullptr ? sc->traffic : traffic_;
-  // Captured before any tamper replacement, as in the serial path. SpanLog
-  // aggregation is commutative, so lane-concurrent notes stay K-invariant.
+  // The span id outlives tamper replacement below: a rewritten payload still
+  // travels on behalf of the same logical exchange. SpanLog aggregation is
+  // commutative, so lane-concurrent notes stay K-invariant.
   const std::uint64_t span_id = payload->span;
   ++tr.messages_sent;
   tr.bytes_sent += payload->wire_bytes() + kUdpIpHeaderBytes;
@@ -371,19 +264,23 @@ void Engine::send_sharded(Address from, Address to, ProtocolSlot slot, PayloadRe
     note_span(span_id, obs::SpanTransport::Drop);
     return;
   }
-  // Same verdict pipeline as the serial engine, with every random draw
-  // taken from the sender's transport stream — the decisions depend only on
-  // (trajectory, sender), never on shard packing.
+  // Fault verdict before the base drop: a partition cut or correlated link
+  // loss kills the message outright; survivors still face the i.i.d. drop.
+  // Every random draw comes from the sender's transport stream — the
+  // decisions depend only on (trajectory, sender), never on shard packing.
   FaultModel::SendDecision fault;
   if (fault_ != nullptr) {
-    fault = fault_->on_send_rng(now, from, to, sender.net_rng);
+    fault = fault_->on_send(now, from, to, sender.net_rng);
     if (fault.drop) {
       ++tr.messages_dropped;
       if (trace_ != nullptr) trace_message(obs::TraceKind::Drop, from, to, slot, *payload);
       note_span(span_id, obs::SpanTransport::Drop);
       return;
     }
-    auto tamper = fault_->on_payload_rng(now, from, to, *payload, sender.net_rng);
+    // Tamper verdict: Byzantine senders may withhold, damage or rewrite the
+    // content. The byte accounting above already charged the original
+    // transmission; a rewritten payload travels in its place.
+    auto tamper = fault_->on_payload(now, from, to, *payload, sender.net_rng);
     using Action = FaultModel::TamperVerdict::Action;
     if (tamper.action == Action::Suppress || tamper.action == Action::Corrupt) {
       ++tr.messages_dropped;
@@ -393,6 +290,8 @@ void Engine::send_sharded(Address from, Address to, ProtocolSlot slot, PayloadRe
       return;
     }
     if (tamper.action == Action::Replace) {
+      // Copy-on-write at the tamper point: only this transmission switches
+      // to the rewritten payload; other refs to the original are untouched.
       BSVC_CHECK(tamper.replacement);
       payload = std::move(tamper.replacement);
     }
@@ -405,6 +304,9 @@ void Engine::send_sharded(Address from, Address to, ProtocolSlot slot, PayloadRe
   }
   SimTime latency;
   if (fault.replace_latency) {
+    // Heavy-tail mode replaces the base draw entirely; the sender's stream
+    // is NOT advanced, which is fine — determinism only requires that the
+    // same trajectory makes the same draws.
     latency = fault.latency;
   } else if (latency_model_) {
     latency = latency_model_(from, to) + sender.net_rng.below(transport_.min_latency + 1);
@@ -425,9 +327,13 @@ void Engine::send_sharded(Address from, Address to, ProtocolSlot slot, PayloadRe
   ev.from = from;
   ev.slot = slot;
   ev.seq = make_key(from, sender.order_counter++);
+  // Inject one extra copy, arriving duplicate_delay after the original. A
+  // duplicate is a second reference to the same immutable payload (no deep
+  // copy, so no payload type can opt out) and bypasses the base drop model:
+  // it already survived the fault layer's own verdict.
   PayloadRef copy;
   if (fault.duplicate) copy = payload;
-  route_sharded(ev, std::move(payload), sc);
+  route(ev, std::move(payload), sc);
   if (copy) {
     ++tr.messages_duplicated;
     tr.bytes_sent += copy->wire_bytes() + kUdpIpHeaderBytes;
@@ -437,11 +343,11 @@ void Engine::send_sharded(Address from, Address to, ProtocolSlot slot, PayloadRe
     // A fresh key: the duplicate is its own event, ordered after the
     // original on ties (higher per-origin counter).
     dup.seq = make_key(from, sender.order_counter++);
-    route_sharded(dup, std::move(copy), sc);
+    route(dup, std::move(copy), sc);
   }
 }
 
-void Engine::route_sharded(SlimEvent ev, PayloadRef payload, ShardCtx* src) {
+void Engine::route(SlimEvent ev, PayloadRef payload, ShardCtx* src) {
   const std::uint32_t dest = shard_of(ev.addr);
   if (src != nullptr && dest != src->index) {
     // Cross-shard, in-window: park in the outbox; the destination shard
@@ -456,10 +362,10 @@ void Engine::route_sharded(SlimEvent ev, PayloadRef payload, ShardCtx* src) {
   dst.queue.push(ev);
 }
 
-void Engine::dispatch_sharded(ShardCtx& sc, const SlimEvent& ev) {
+void Engine::dispatch(ShardCtx& sc, const SlimEvent& ev) {
   ++sc.events;
-  // Calls never reach shard queues; they live in the coordinator heap.
-  BSVC_CHECK(ev.kind != EventKind::Call);
+  // Message payloads are reclaimed from the pool unconditionally — even when
+  // the destination died in flight.
   PayloadRef payload;
   if (ev.kind == EventKind::Message) {
     payload = sc.payload_pool.take(static_cast<std::uint32_t>(ev.aux));
@@ -478,6 +384,9 @@ void Engine::dispatch_sharded(ShardCtx& sc, const SlimEvent& ev) {
   if (fault_ != nullptr) {
     const SimTime recover = fault_->dark_until(sc.now, ev.addr);
     if (recover > sc.now) {
+      // Crash–recover semantics: a dark node keeps its state but neither
+      // receives nor acts. Messages to it are lost; its timers and starts
+      // are deferred to the recovery time.
       if (ev.kind == EventKind::Message) {
         ++sc.traffic.messages_dropped;
         fault_dark_dropped_->inc();
@@ -512,14 +421,7 @@ void Engine::dispatch_sharded(ShardCtx& sc, const SlimEvent& ev) {
         r.node = ev.addr;
         r.slot = ev.slot;
         r.aux = ev.aux;
-        if (shards_ > 1) {
-          // Only a multi-lane crew can record concurrently; a one-shard
-          // engine runs inline and skips the lock like the serial path.
-          const std::lock_guard<std::mutex> lock(trace_mutex_);
-          trace_->record(r);
-        } else {
-          trace_->record(r);
-        }
+        record_trace(r);
       }
       node.stack[ev.slot]->on_timer(ctx, ev.aux);
       break;
@@ -532,8 +434,10 @@ void Engine::dispatch_sharded(ShardCtx& sc, const SlimEvent& ev) {
         // lanes invoke it concurrently (the wire codec round trip is).
         PayloadRef decoded = transcoder_(*payload);
         if (!decoded) {
+          // A frame the wire codec cannot decode is a corrupt datagram: a
+          // counted drop, never a crash.
           ++sc.traffic.messages_dropped;
-          msg_corrupt_->inc();  // bound eagerly at construction
+          msg_corrupt_->inc();
           if (trace_ != nullptr) {
             trace_message(obs::TraceKind::Drop, ev.from, ev.addr, ev.slot, *payload);
           }
@@ -551,89 +455,47 @@ void Engine::dispatch_sharded(ShardCtx& sc, const SlimEvent& ev) {
       node.stack[ev.slot]->on_message(ctx, ev.from, *payload);
       break;
     }
-    case EventKind::Call:
-      break;  // unreachable, checked above
   }
 }
 
 void Engine::schedule_timer(Address addr, ProtocolSlot slot, SimTime delay,
                             std::uint64_t timer_id) {
-  if (shards_ != 0) {
-    ShardCtx* sc = active_shard_;
-    // In-window timers are self-timers (Context::schedule_timer); a timer
-    // for a foreign shard's node would race on its queue.
-    BSVC_CHECK_MSG(sc == nullptr || shard_of(addr) == sc->index,
-                   "cross-shard timer scheduled inside a window");
-    Node& node = node_at(addr);
-    SlimEvent ev;
-    ev.time = (sc != nullptr ? sc->now : now_) + delay;
-    ev.kind = EventKind::Timer;
-    ev.addr = addr;
-    ev.slot = slot;
-    ev.aux = timer_id;
-    ev.seq = make_key(addr, node.order_counter++);
-    shard_ctx_[shard_of(addr)]->queue.push(ev);
-    return;
-  }
+  ShardCtx* sc = active_shard_;
+  // In-window timers are self-timers (Context::schedule_timer); a timer for
+  // a foreign shard's node would race on its queue.
+  BSVC_CHECK_MSG(sc == nullptr || shard_of(addr) == sc->index,
+                 "cross-shard timer scheduled inside a window");
+  Node& node = node_at(addr);
   SlimEvent ev;
-  ev.time = now_ + delay;
+  ev.time = (sc != nullptr ? sc->now : now_) + delay;
   ev.kind = EventKind::Timer;
   ev.addr = addr;
   ev.slot = slot;
   ev.aux = timer_id;
-  push(ev);
+  ev.seq = make_key(addr, node.order_counter++);
+  shard_ctx_[shard_of(addr)]->queue.push(ev);
 }
 
 void Engine::schedule_call(SimTime delay, std::function<void(Engine&)> fn) {
   BSVC_CHECK(fn != nullptr);
-  if (shards_ != 0) {
-    // Calls are coordinator-side: they run single-threaded at barriers and
-    // may touch anything (topology, filters, fault plans, Engine::rng()).
-    BSVC_CHECK_MSG(active_shard_ == nullptr, "schedule_call inside a sharded window");
-    PendingCall call;
-    call.time = now_ + delay;
-    call.seq = call_seq_++;
-    call.slot = call_pool_.store(std::move(fn));
-    calls_.push_back(call);
-    std::push_heap(calls_.begin(), calls_.end(), call_later);
-    return;
-  }
-  SlimEvent ev;
-  ev.time = now_ + delay;
-  ev.kind = EventKind::Call;
-  ev.aux = call_pool_.store(std::move(fn));
-  push(ev);
+  // Calls are coordinator-side: they run single-threaded at barriers and may
+  // touch anything (topology, filters, fault plans, Engine::rng()).
+  BSVC_CHECK_MSG(active_shard_ == nullptr, "schedule_call inside a window");
+  PendingCall call;
+  call.time = now_ + delay;
+  call.seq = call_seq_++;
+  call.slot = call_pool_.store(std::move(fn));
+  calls_.push_back(call);
+  std::push_heap(calls_.begin(), calls_.end(), call_later);
 }
 
-void Engine::run_until(SimTime t_end) {
-  if (shards_ != 0) {
-    run_sharded(t_end, /*settle_clock=*/true);
-    return;
-  }
-  SlimEvent ev;
-  while (queue_.pop_if_at_most(t_end, ev)) {
-    BSVC_CHECK_MSG(ev.time >= now_, "event queue time went backwards");
-    now_ = ev.time;
-    dispatch(ev);
-  }
-  now_ = std::max(now_, t_end);
-}
+void Engine::run_until(SimTime t_end) { run_windows(t_end, /*settle_clock=*/true); }
 
-void Engine::run_all() {
-  if (shards_ != 0) {
-    run_sharded(~SimTime{0}, /*settle_clock=*/false);
-    return;
-  }
-  SlimEvent ev;
-  while (queue_.pop_if_at_most(~SimTime{0}, ev)) {
-    now_ = ev.time;
-    dispatch(ev);
-  }
-}
+void Engine::run_all() { run_windows(~SimTime{0}, /*settle_clock=*/false); }
 
-// --- sharded runtime ----------------------------------------------------
+// --- window runtime -----------------------------------------------------
 
-void Engine::run_sharded(SimTime t_end, bool settle_clock) {
+void Engine::run_windows(SimTime t_end, bool settle_clock) {
   constexpr SimTime kNever = ~SimTime{0};
   for (;;) {
     const SimTime tc = calls_.empty() ? kNever : calls_.front().time;
@@ -643,9 +505,9 @@ void Engine::run_sharded(SimTime t_end, bool settle_clock) {
     if (t == kNever || t > t_end) break;
     now_ = t;
     if (tc <= t) {
-      // In the sharded family, same-tick ordering between calls and node
-      // events is fixed by rule — calls first — instead of by the serial
-      // engine's insertion order (which no longer exists across shards).
+      // Same-tick ordering between calls and node events is fixed by rule —
+      // calls first — so it cannot depend on how nodes are packed into
+      // shards.
       run_due_calls();
       continue;
     }
@@ -689,7 +551,7 @@ void Engine::run_window(SimTime limit) {
     while (sc.queue.pop_if_at_most(limit, ev)) {
       BSVC_CHECK_MSG(ev.time >= sc.now, "shard queue time went backwards");
       sc.now = ev.time;
-      dispatch_sharded(sc, ev);
+      dispatch(sc, ev);
     }
     sc.now = limit;
     active_shard_ = nullptr;
@@ -776,110 +638,6 @@ void Engine::merge_shard_deltas() {
     }
   }
   shard_windows_->inc();
-}
-
-void Engine::dispatch(const SlimEvent& ev) {
-  ++events_dispatched_;
-  if (ev.kind == EventKind::Call) {
-    const auto fn = call_pool_.take(static_cast<std::uint32_t>(ev.aux));
-    fn(*this);
-    return;
-  }
-  // Message payloads are reclaimed from the pool unconditionally — even when
-  // the destination died in flight, matching the old owning-event behavior.
-  PayloadRef payload;
-  if (ev.kind == EventKind::Message) {
-    payload = payload_pool_.take(static_cast<std::uint32_t>(ev.aux));
-  }
-  Node& node = node_at(ev.addr);
-  if (!node.alive) {
-    if (ev.kind == EventKind::Message) {
-      ++traffic_.messages_to_dead;
-      if (trace_ != nullptr) {
-        trace_message(obs::TraceKind::DeadDest, ev.from, ev.addr, ev.slot, *payload);
-      }
-      note_span(payload->span, obs::SpanTransport::DeadDest);
-    }
-    return;  // dead nodes neither receive nor act
-  }
-  if (fault_ != nullptr) {
-    const SimTime recover = fault_->dark_until(now_, ev.addr);
-    if (recover > now_) {
-      // Crash–recover semantics: a dark node keeps its state but neither
-      // receives nor acts. Messages to it are lost; its timers and starts
-      // are deferred to the recovery time (re-sequenced, so relative order
-      // among a node's deferred events is preserved).
-      if (ev.kind == EventKind::Message) {
-        ++traffic_.messages_dropped;
-        fault_dark_dropped_->inc();
-        if (trace_ != nullptr) {
-          trace_message(obs::TraceKind::Drop, ev.from, ev.addr, ev.slot, *payload);
-        }
-        note_span(payload->span, obs::SpanTransport::Drop);
-      } else {
-        fault_dark_deferred_->inc();
-        SlimEvent deferred = ev;
-        deferred.time = recover;
-        push(deferred);
-      }
-      return;
-    }
-  }
-  BSVC_CHECK(ev.slot < node.stack.size());
-  Context ctx(*this, ev.addr, ev.slot);
-  switch (ev.kind) {
-    case EventKind::Start:
-      node.stack[ev.slot]->on_start(ctx);
-      break;
-    case EventKind::Timer:
-      if (trace_ != nullptr) {
-        obs::TraceRecord r;
-        r.time = now_;
-        r.kind = obs::TraceKind::TimerFire;
-        r.node = ev.addr;
-        r.slot = ev.slot;
-        r.aux = ev.aux;
-        trace_->record(r);
-      }
-      node.stack[ev.slot]->on_timer(ctx, ev.aux);
-      break;
-    case EventKind::Message: {
-      // Span id survives the transcoder below (codec rebuilds drop it).
-      const std::uint64_t span_id = payload->span;
-      if (transcoder_) {
-        PayloadRef decoded = transcoder_(*payload);
-        if (!decoded) {
-          // A frame the wire codec cannot decode is a corrupt datagram: a
-          // counted drop, never a crash. Lazy binding keeps the registry of
-          // clean runs untouched.
-          ++traffic_.messages_dropped;
-          if (msg_corrupt_ == nullptr) msg_corrupt_ = &metrics_.counter("msg.corrupt");
-          msg_corrupt_->inc();
-          if (trace_ != nullptr) {
-            trace_message(obs::TraceKind::Drop, ev.from, ev.addr, ev.slot, *payload);
-          }
-          note_span(span_id, obs::SpanTransport::Drop);
-          break;
-        }
-        payload = std::move(decoded);
-      }
-      ++traffic_.messages_delivered;
-      counters_for(payload->metric_tag()).delivered->inc();
-      if (trace_ != nullptr) {
-        trace_message(obs::TraceKind::Deliver, ev.from, ev.addr, ev.slot, *payload);
-      }
-      note_span(span_id, obs::SpanTransport::Deliver);
-      node.stack[ev.slot]->on_message(ctx, ev.from, *payload);
-      break;
-    }
-    case EventKind::Call:
-      break;  // handled above
-  }
-}
-
-void Engine::push(SlimEvent ev) {
-  ev.seq = next_seq_++;
-  queue_.push(ev);
 }
 
 Node& Engine::node_at(Address addr) {

@@ -1,25 +1,19 @@
 // The discrete-event simulation engine (PeerSim equivalent).
 //
 // Virtual-time, deterministic given a seed. The engine owns all nodes, the
-// event queue(s) ordered by (time, sequence), and the unreliable transport
-// model (i.i.d. message drop + bounded uniform latency) under which the
-// paper evaluates the bootstrapping service.
+// per-shard event queues ordered by (time, key), and the unreliable
+// transport model (i.i.d. message drop + bounded uniform latency) under
+// which the paper evaluates the bootstrapping service.
 //
-// Two execution modes share one API:
-//
-//  - serial (shards == 0, the default): the original single-threaded loop,
-//    bit-identical to the historical engine — the golden-replay witnesses
-//    pin this down;
-//  - sharded (shards >= 1): nodes are partitioned addr % K across K shards,
-//    each with its own event queue and worker lane, synchronized at
-//    conservative time-window barriers of width min_latency (the transport
-//    lookahead: no message can arrive inside the window it was sent in).
-//    Cross-shard sends travel through per-shard-pair mailboxes drained at
-//    each barrier. All transport randomness comes from per-NODE streams and
-//    same-tick ordering is content-addressed (origin, per-origin counter),
-//    so a (seed, K) run is bit-reproducible AND the trajectory is identical
-//    for every K — shards=1 is the in-family golden reference. See
-//    docs/architecture.md#sharded-execution.
+// Nodes are partitioned addr % K across K >= 1 shards, each with its own
+// event queue and worker lane, synchronized at conservative time-window
+// barriers of width min_latency (the transport lookahead: no message can
+// arrive inside the window it was sent in). Cross-shard sends travel through
+// per-shard-pair mailboxes drained at each barrier. All transport randomness
+// comes from per-NODE streams and same-tick ordering is content-addressed
+// (origin, per-origin counter), so a (seed, K) run is bit-reproducible AND
+// the trajectory is identical for every K — K = 1 runs inline on the calling
+// thread and is the golden reference. See docs/architecture.md#sharded-execution.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "common/assert.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "fault/fault_model.hpp"
@@ -53,20 +46,21 @@ struct TransportConfig {
   /// which yields the paper's 28% effective loss.
   double drop_probability = 0.0;
   /// One-way delivery latency, uniform in [min_latency, max_latency] ticks.
-  /// Defaults keep request+answer well inside one cycle.
+  /// Defaults keep request+answer well inside one cycle. min_latency is also
+  /// the engine's window width (the lookahead), so it must be at least 1.
   SimTime min_latency = 10;
   SimTime max_latency = 150;
 
   /// Returns "" when the configuration is sane, else a description of the
-  /// first problem (drop_probability outside [0,1], min_latency >
-  /// max_latency). Experiment setup rejects a bad config with this message;
-  /// the Engine constructor aborts on it as a backstop.
+  /// first problem (drop_probability outside [0,1], min_latency < 1,
+  /// min_latency > max_latency). Experiment setup rejects a bad config with
+  /// this message; the Engine constructor aborts on it as a backstop.
   std::string validate() const;
 };
 
 /// Pairwise one-way base latency between two endpoints, in ticks. When a
-/// model is installed the transport adds a small uniform jitter on top
-/// (± min_latency of the TransportConfig); used by the proximity
+/// model is installed the transport adds a small uniform jitter on top,
+/// drawn from [0, min_latency] of the TransportConfig; used by the proximity
 /// experiments, where latency derives from synthetic network coordinates.
 using LatencyModel = std::function<SimTime(Address, Address)>;
 
@@ -89,26 +83,24 @@ struct Node {
   /// engine seeded it, so protocol-visible randomness is unchanged.
   Rng rng{0};
   /// Transport stream: drop/latency/fault draws for messages *sent by* this
-  /// node under the sharded engine. Node-local so transport randomness is
-  /// independent of how nodes are packed into shards. Derived from the same
-  /// per-node seed as `rng` (salted split), untouched by the serial engine.
+  /// node. Node-local so transport randomness is independent of how nodes
+  /// are packed into shards. Derived from the same per-node seed as `rng`
+  /// (salted split).
   Rng net_rng{0};
-  /// Monotone per-origin event counter backing the sharded engine's
-  /// content-addressed ordering keys (see Engine::make_key).
+  /// Monotone per-origin event counter backing the content-addressed
+  /// ordering keys (see Engine::make_key).
   std::uint64_t order_counter = 0;
 };
 
 /// The simulation engine. See DESIGN.md §5 for the event model.
 class Engine {
  public:
-  /// `shards == 0` selects the serial engine (bit-identical to the
-  /// historical one). `shards >= 1` selects the sharded engine with K
-  /// worker lanes; K = 1 runs the identical sharded semantics inline on the
-  /// calling thread and is the golden reference for every K. Sharded mode
-  /// requires min_latency >= 1 (the lookahead) and caps addresses below
-  /// 2^24 (ordering keys pack the origin address into the top bits).
+  /// Runs K = `shards` worker lanes (1 <= K <= 4096); K = 1 runs inline on
+  /// the calling thread and is the golden reference for every K. Aborts on
+  /// an invalid TransportConfig. Addresses are capped below 2^24 (ordering
+  /// keys pack the origin address into the top bits).
   explicit Engine(std::uint64_t seed, TransportConfig transport = {},
-                  std::size_t shards = 0);
+                  std::size_t shards = 1);
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -132,18 +124,15 @@ class Engine {
 
   // --- accessors ---------------------------------------------------------
 
-  /// Current virtual time. Inside a sharded window this is the dispatching
-  /// shard's local clock (what a protocol callback must observe); at
-  /// barriers and in serial mode it is the global clock.
-  SimTime now() const {
-    const ShardCtx* sc = active_shard_;
-    return sc != nullptr ? sc->now : now_;
-  }
+  /// Current virtual time. Inside a window this is the dispatching shard's
+  /// local clock (what a protocol callback must observe); at barriers it is
+  /// the global clock.
+  SimTime now() const;
   std::size_t node_count() const { return nodes_.size(); }
 
-  /// Shard count: 0 = serial engine, >= 1 = sharded engine with K lanes.
+  /// Shard count K >= 1 (the number of worker lanes).
   std::size_t shards() const { return shards_; }
-  /// Owning shard of an address (sharded mode; addr % K).
+  /// Owning shard of an address (addr % K).
   std::uint32_t shard_of(Address addr) const {
     return static_cast<std::uint32_t>(addr % shards_);
   }
@@ -159,22 +148,18 @@ class Engine {
   /// Addresses of all currently alive nodes (O(N); for observers).
   std::vector<Address> alive_addresses() const;
 
-  /// Engine-level RNG (serial transport, scenarios). Node callbacks should
-  /// use their per-node stream via Context::rng(). Off limits inside a
-  /// sharded window (it is shared, unsynchronized state); barrier-context
-  /// users — scenario calls, oracles, builders — are fine.
-  Rng& rng() {
-    BSVC_CHECK_MSG(active_shard_ == nullptr,
-                   "Engine::rng() used inside a sharded window");
-    return rng_;
-  }
+  /// Engine-level RNG (scenarios, builders). Node callbacks should use their
+  /// per-node stream via Context::rng(). Off limits inside a window (it is
+  /// shared, unsynchronized state); barrier-context users — scenario calls,
+  /// oracles, builders — are fine.
+  Rng& rng();
 
   /// Per-node deterministic random stream (backs Context::rng()).
   Rng& node_rng(Address addr);
 
-  /// Aggregate traffic counters. In sharded mode, totals are exact at
-  /// barriers (per-shard deltas are merged at every window end); reading
-  /// mid-window from outside is not supported.
+  /// Aggregate traffic counters. Totals are exact at barriers (per-shard
+  /// deltas are merged at every window end); reading mid-window from outside
+  /// is not supported.
   const TrafficStats& traffic() const { return traffic_; }
   void reset_traffic();
 
@@ -199,12 +184,10 @@ class Engine {
   void set_span_log(obs::SpanLog* log) { span_log_ = log; }
   obs::SpanLog* span_log() const { return span_log_; }
 
-  /// Installs the window profiler (nullptr uninstalls). Sharded mode only:
-  /// the profiler accounts crew phases, so a serial engine has nothing to
-  /// feed it (experiment setup rejects the combination with a friendly
-  /// exit; this hook aborts as the backstop). Enables per-lane timing on
-  /// the crew; wall-clock is read outside the simulation state, so the
-  /// trajectory stays bit-identical. The caller keeps ownership.
+  /// Installs the window profiler (nullptr uninstalls); its shard count must
+  /// match the engine's. Enables per-lane timing on the crew; wall-clock is
+  /// read outside the simulation state, so the trajectory stays
+  /// bit-identical. The caller keeps ownership.
   void set_profiler(obs::EngineProfiler* profiler);
   obs::EngineProfiler* profiler() const { return profiler_; }
 
@@ -223,8 +206,8 @@ class Engine {
   void clear_link_filter() { link_filter_ = nullptr; }
 
   /// Installs a fault model (nullptr uninstalls). Consulted once per send
-  /// (drop/latency/duplicate verdict) and once per non-Call dispatch
-  /// (dark-node query). With no model installed every hook is a single
+  /// (drop/latency/duplicate verdict) and once per dispatch (dark-node
+  /// query). With no model installed every hook is a single
   /// pointer test and the simulation is bit-identical to the pre-fault
   /// engine — witnessed by the golden-replay tests. The caller keeps
   /// ownership and must keep the model alive while installed.
@@ -269,7 +252,7 @@ class Engine {
   void run_all();
 
  private:
-  // --- sharded-engine state ----------------------------------------------
+  // --- per-shard state ---------------------------------------------------
 
   /// A cross-shard message parked in a mailbox between phase 1 (send) and
   /// phase 2 (drain into the destination queue): the event with its payload
@@ -317,14 +300,17 @@ class Engine {
   }
 
   /// The shard whose window phase is running on this thread, else nullptr
-  /// (serial engine, barrier context). Routes now()/send/dispatch without
-  /// threading a context parameter through every protocol callback.
+  /// (barrier context). Routes now()/send/dispatch without threading a
+  /// context parameter through every protocol callback. Read only in
+  /// engine.cpp, where it is defined: a read inlined into another
+  /// translation unit goes through the TLS init-wrapper test, and GCC's
+  /// UBSan null check on that access reads stale flags once the linker
+  /// relaxes the TLS sequence (a false "load of null pointer").
   static thread_local ShardCtx* active_shard_;
 
-  void send_sharded(Address from, Address to, ProtocolSlot slot, PayloadRef payload);
-  void route_sharded(SlimEvent ev, PayloadRef payload, ShardCtx* src);
-  void dispatch_sharded(ShardCtx& sc, const SlimEvent& ev);
-  void run_sharded(SimTime t_end, bool settle_clock);
+  void route(SlimEvent ev, PayloadRef payload, ShardCtx* src);
+  void dispatch(ShardCtx& sc, const SlimEvent& ev);
+  void run_windows(SimTime t_end, bool settle_clock);
   void run_window(SimTime limit);
   void run_due_calls();
   void merge_shard_deltas();
@@ -332,8 +318,6 @@ class Engine {
 
   Node& node_at(Address addr);
   const Node& node_at(Address addr) const;
-  void dispatch(const SlimEvent& ev);
-  void push(SlimEvent ev);
 
   /// Per-payload-tag counters ("msg.sent.<tag>" / "msg.delivered.<tag>").
   /// Tags are class-owned string literals, so the common case is a pointer
@@ -356,15 +340,19 @@ class Engine {
     r.slot = slot;
     r.tag = payload.metric_tag();
     r.aux = payload.wire_bytes() + kUdpIpHeaderBytes;
+    record_trace(r);
+  }
+
+  /// Hands one record to the trace sink. Shard workers share the sink, so a
+  /// multi-lane crew serializes on a lock (record order across shards is
+  /// nondeterministic; records themselves are deterministic per shard). A
+  /// one-shard engine runs inline and skips the lock (micro_ops
+  /// BM_ShardedSendDispatchTraced/1 measures this path's cost).
+  void record_trace(const obs::TraceRecord& r) {
     if (shards_ > 1) {
-      // Shard workers share the sink; record order across shards is
-      // nondeterministic (records themselves are deterministic per shard).
       const std::lock_guard<std::mutex> lock(trace_mutex_);
       trace_->record(r);
     } else {
-      // Serial engine and the one-shard inline crew are single-lane: skip
-      // the lock entirely (micro_ops BM_EngineSendDispatch measures this
-      // path's cost).
       trace_->record(r);
     }
   }
@@ -378,7 +366,6 @@ class Engine {
   }
 
   SimTime now_ = 0;
-  std::uint64_t next_seq_ = 0;
   std::uint64_t events_dispatched_ = 0;
   Rng rng_;
   std::uint64_t node_seed_state_;
@@ -389,10 +376,8 @@ class Engine {
   // node (e.g. the per-node RNG), so Node addresses must be stable.
   std::deque<Node> nodes_;
   std::size_t alive_count_ = 0;
-  // Events are 40-byte PODs; payloads and Call closures are parked in slot
-  // pools and referenced by index (see event_queue.hpp for the rationale).
-  TwoTierQueue queue_;
-  SlotPool<PayloadRef> payload_pool_;
+  // Scheduled-call closures, parked by index like payloads (see
+  // event_queue.hpp for the rationale).
   SlotPool<std::function<void(Engine&)>> call_pool_;
   std::function<bool(Address, Address)> link_filter_;
   std::function<PayloadRef(const Payload&)> transcoder_;
@@ -400,16 +385,10 @@ class Engine {
   FaultModel* fault_ = nullptr;
   // Fault-path metric handles, bound when a model is installed.
   obs::Counter* fault_dup_ = nullptr;            // msg.dup
-  // Duplications that could not produce a copy. Structurally pinned to zero
-  // since the PayloadRef refactor (a refcount bump cannot fail for any
-  // payload type); kept registered as a tripwire — see
-  // docs/observability.md#msg-dup-skipped.
-  obs::Counter* fault_dup_skipped_ = nullptr;    // msg.dup.skipped
   obs::Counter* fault_dark_dropped_ = nullptr;   // fault.dark.dropped
   obs::Counter* fault_dark_deferred_ = nullptr;  // fault.dark.deferred
   // Corrupt-frame drops (tamper verdicts and transcoder decode failures).
-  // Bound lazily at the first corrupt frame (or with the fault model), so
-  // runs that never see one keep an unchanged metrics registry.
+  // Bound at construction: binding from inside a window would race.
   obs::Counter* msg_corrupt_ = nullptr;          // msg.corrupt
   // Mutable: observers holding `const Engine&` record measurements; metric
   // state never feeds back into event ordering or RNG streams.
@@ -418,8 +397,8 @@ class Engine {
   obs::SpanLog* span_log_ = nullptr;
   std::vector<TypeCounters> type_counters_;
 
-  // --- sharded-engine members (inert when shards_ == 0) -------------------
-  std::size_t shards_ = 0;
+  // --- shards, crew and barrier-side state ---------------------------------
+  std::size_t shards_ = 1;
   /// Conservative window width = transport min latency (the lookahead).
   SimTime window_ticks_ = 0;
   /// unique_ptr elements: ShardCtx is neither copyable nor movable
@@ -428,7 +407,7 @@ class Engine {
   std::unique_ptr<WindowCrew> crew_;
   /// Coordinator-side schedule_call heap: calls always run at barriers,
   /// single-threaded, before same-tick node events — churn scripts and
-  /// observers keep their serial semantics. Ordered by (time, seq).
+  /// observers see a quiescent network. Ordered by (time, seq).
   struct PendingCall {
     SimTime time;
     std::uint64_t seq;
@@ -441,12 +420,12 @@ class Engine {
   std::vector<PendingCall> calls_;  // min-heap ordered by call_later
   std::uint64_t call_seq_ = 0;
   std::mutex trace_mutex_;
-  // shard.* metric handles, bound at construction in sharded mode.
+  // shard.* metric handles, bound at construction.
   obs::Counter* shard_windows_ = nullptr;        // shard.windows
   obs::Counter* shard_mailbox_ = nullptr;        // shard.mailbox.messages
   obs::HistogramMetric* shard_window_events_ = nullptr;  // shard.window_events
-  // Window profiler (sharded mode only) and its per-window scratch, sized
-  // shards_ once at install so run_window never allocates.
+  // Window profiler and its per-window scratch, sized shards_ once at
+  // install so run_window never allocates.
   obs::EngineProfiler* profiler_ = nullptr;
   std::vector<std::uint64_t> prof_dispatch_ns_;
   std::vector<std::uint64_t> prof_drain_ns_;

@@ -9,7 +9,7 @@ void TwoTierQueue::push(const SlimEvent& ev) {
   if (ev.time < base_ + kWheelSpan) {
     Bucket& bucket = wheel_[ev.time & (kWheelSpan - 1)];
     bucket.events.push_back(ev);
-    if (keyed_) bucket.dirty = true;
+    bucket.dirty = true;
     ++wheel_count_;
   } else {
     heap_.push_back(ev);
@@ -22,8 +22,8 @@ void TwoTierQueue::settle(Bucket& bucket) {
   if (!bucket.dirty) return;
   // Sorting only the unpopped tail is sound: any event inserted into a
   // bucket mid-drain was created while dispatching an event of this very
-  // tick, and the sharded engine only ever self-schedules at the current
-  // tick (zero-delay timers), so the insert carries the dispatching node's
+  // tick, and the engine only ever self-schedules at the current tick
+  // (zero-delay timers), so the insert carries the dispatching node's
   // own origin key with a counter above everything that node already popped.
   std::sort(bucket.events.begin() + bucket.head, bucket.events.end(),
             [](const SlimEvent& a, const SlimEvent& b) { return a.seq < b.seq; });
@@ -49,16 +49,14 @@ bool TwoTierQueue::pop_if_at_most(SimTime limit, SlimEvent& out) {
     if (heap_.front().time > limit) return false;
     base_ = heap_.front().time;
     cursor_ = base_;
-    // Drain everything inside the new window. Heap pops come out in
-    // (time, seq) order, so per-bucket appends stay seq-sorted; later direct
-    // pushes carry higher seq and append after them. (Keyed mode makes no
-    // use of that invariant — drained buckets get the same lazy sort.)
+    // Drain everything inside the new window; drained buckets get the same
+    // lazy sort as directly pushed ones.
     while (!heap_.empty() && heap_.front().time < base_ + kWheelSpan) {
       std::pop_heap(heap_.begin(), heap_.end(), LaterFirst{});
       const SlimEvent& ev = heap_.back();
       Bucket& bucket = wheel_[ev.time & (kWheelSpan - 1)];
       bucket.events.push_back(ev);
-      if (keyed_) bucket.dirty = true;
+      bucket.dirty = true;
       heap_.pop_back();
       ++wheel_count_;
     }
@@ -73,7 +71,7 @@ bool TwoTierQueue::pop_if_at_most(SimTime limit, SlimEvent& out) {
     BSVC_CHECK_MSG(tick < base_ + kWheelSpan, "wheel count out of sync");
   }
   Bucket& bucket = wheel_[tick & (kWheelSpan - 1)];
-  if (keyed_) settle(bucket);
+  settle(bucket);
   const SlimEvent& min = bucket.events[bucket.head];
   if (min.time > limit) return false;  // probe failed: do not commit the scan
   cursor_ = tick;

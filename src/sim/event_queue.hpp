@@ -7,10 +7,12 @@
 // SlimEvents; payloads and call closures live in free-list slot pools on the
 // side and are referenced by index.
 //
-// Ordering contract (identical to the old single binary heap): events are
-// popped in strictly non-decreasing (time, seq) order, where seq is the
-// monotone push counter — FIFO among equal times. The determinism suite
-// replays recorded golden runs to pin this down bit-for-bit.
+// Ordering contract: events are popped in strictly non-decreasing
+// (time, seq) order, where seq is an arbitrary 64-bit ordering key. The
+// engine packs (origin node, per-origin counter) into it, so same-tick
+// ordering is content-addressed — independent of shard count and of the
+// order pushes arrive in. The determinism suite replays recorded golden
+// runs to pin this down bit-for-bit.
 #pragma once
 
 #include <cstdint>
@@ -31,19 +33,19 @@ using SimTime = std::uint64_t;
 /// Default cycle length Δ in ticks.
 inline constexpr SimTime kDelta = 1000;
 
-enum class EventKind : std::uint8_t { Message, Timer, Call, Start };
+enum class EventKind : std::uint8_t { Message, Timer, Start };
 
 /// One queued event. Trivially copyable on purpose: the wheel buckets and
 /// the overflow heap shuffle these around by the million. `aux` is
-/// kind-dependent: the timer id (Timer), a payload-pool slot (Message) or a
-/// call-pool slot (Call); unused for Start.
+/// kind-dependent: the timer id (Timer) or a payload-pool slot (Message);
+/// unused for Start.
 struct SlimEvent {
   SimTime time = 0;
-  std::uint64_t seq = 0;  // tie-break: FIFO among equal times; set by push()
+  std::uint64_t seq = 0;  // tie-break among equal times: the ordering key
   std::uint64_t aux = 0;
-  Address addr = kNullAddress;  // destination node (Message/Timer/Start)
+  Address addr = kNullAddress;  // destination node
   Address from = kNullAddress;  // sender (Message)
-  EventKind kind = EventKind::Call;
+  EventKind kind = EventKind::Start;
   ProtocolSlot slot = 0;
 };
 static_assert(std::is_trivially_copyable_v<SlimEvent>);
@@ -51,7 +53,7 @@ static_assert(sizeof(SlimEvent) <= 40);
 
 /// Free-list slot pool: parks a movable value, hands back a dense uint32
 /// index, and recycles slots so steady-state traffic stops allocating.
-/// Used for in-flight payload owners and Call closures.
+/// Used for in-flight payload owners and scheduled-call closures.
 template <typename T>
 class SlotPool {
  public:
@@ -97,21 +99,20 @@ class SlotPool {
 ///
 /// Invariants:
 ///  - the wheel holds exactly the events with time in [base, base + span);
-///    bucket index is time & (span - 1), so each bucket holds one tick and
-///    appends arrive in increasing seq order (seq is monotone and events are
-///    never scheduled in the past);
+///    bucket index is time & (span - 1), so each bucket holds one tick;
+///    pushes may arrive in any seq order, and a bucket's unpopped tail is
+///    sorted by seq lazily, at its first inspection after a push;
 ///  - the heap holds exactly the events with time >= base + span;
 ///  - the wheel re-bases only inside pop (lazy), when it is empty and the
 ///    heap is not: base jumps to the heap minimum and every heap event
-///    inside the new window drains into the wheel in (time, seq) order, so
-///    drained entries also land in seq order and sort before any later push.
-/// Together these give exact (time, seq) pops, matching the old single heap.
+///    inside the new window drains into the wheel.
+/// Together these give exact (time, seq) pops.
 class TwoTierQueue {
  public:
   static constexpr SimTime kWheelSpan = 4096;  // power of two, ~4 Δ
 
-  /// Enqueues `ev` (seq must already be assigned, monotone across pushes,
-  /// and ev.time must be >= the time of the last popped event).
+  /// Enqueues `ev` (seq must already be assigned, and ev.time must be >= the
+  /// time of the last popped event).
   void push(const SlimEvent& ev);
 
   /// If the earliest event has time <= `limit`, pops it into `out` and
@@ -119,20 +120,8 @@ class TwoTierQueue {
   bool pop_if_at_most(SimTime limit, SlimEvent& out);
 
   /// Time of the earliest queued event without popping it; ~SimTime{0} when
-  /// empty. Used by the sharded engine to jump idle gaps between windows.
+  /// empty. Used by the engine to jump idle gaps between windows.
   SimTime min_time() const;
-
-  /// Switches the tie-break contract from "seq is a monotone push counter"
-  /// to "seq is an arbitrary 64-bit ordering key": events still pop in
-  /// (time, seq) order, but pushes at one tick may arrive in any seq order.
-  /// The sharded engine packs (origin node, per-origin counter) into seq so
-  /// same-tick ordering is content-addressed — independent of shard count —
-  /// rather than insertion-ordered. Buckets are sorted lazily at first
-  /// inspection. Call before the first push.
-  void set_keyed_ordering(bool keyed) {
-    BSVC_CHECK(size_ == 0);
-    keyed_ = keyed;
-  }
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
@@ -141,7 +130,7 @@ class TwoTierQueue {
   struct Bucket {
     std::vector<SlimEvent> events;
     std::uint32_t head = 0;  // pop cursor; bucket is clear()ed when drained
-    bool dirty = false;      // keyed mode: [head, end) needs a sort by seq
+    bool dirty = false;      // [head, end) needs a sort by seq
   };
 
   // Heap comparator for a min-heap on (time, seq) via std::push/pop_heap.
@@ -152,7 +141,7 @@ class TwoTierQueue {
     }
   };
 
-  /// Keyed mode: sorts the unpopped tail of `bucket` by seq key.
+  /// Sorts the unpopped tail of `bucket` by seq key.
   static void settle(Bucket& bucket);
 
   std::vector<Bucket> wheel_{kWheelSpan};
@@ -161,7 +150,6 @@ class TwoTierQueue {
   std::size_t wheel_count_ = 0;
   std::vector<SlimEvent> heap_;
   std::size_t size_ = 0;
-  bool keyed_ = false;
 };
 
 }  // namespace bsvc

@@ -95,7 +95,9 @@ class Payload {
 /// Constructible implicitly from a `std::unique_ptr` to any Payload
 /// subclass, so `ctx.send(addr, std::make_unique<Msg>(...))` publishes in
 /// place. Copying bumps the intrusive count; the last reference deletes.
-/// Not thread-safe by design — see the Payload ownership note above.
+/// The count is atomic, so refs to one payload may be copied and released
+/// on different threads; one PayloadRef object may not be shared between
+/// threads (like std::shared_ptr) — see the Payload ownership note above.
 class PayloadRef {
  public:
   PayloadRef() = default;

@@ -4,8 +4,8 @@
 //
 // Determinism: the driver owns a private RNG (derived from the run seed),
 // never touches engine or per-node protocol streams, and acts only through
-// schedule_call — which runs single-threaded at window barriers in sharded
-// mode, at identical virtual times for every shard count K (window width is
+// schedule_call — which runs single-threaded at window barriers, at
+// identical virtual times for every shard count K (window width is
 // the transport lookahead, independent of K). Combined with the engine's
 // K-independent transport streams, every workload outcome is a pure
 // function of the seed and byte-identical across --shards K >= 1.

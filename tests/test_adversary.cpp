@@ -213,7 +213,9 @@ TEST(AdversaryCow, TamperCopiesSharedPayloadInsteadOfMutatingIt) {
   ASSERT_EQ(first.get(), second.get());
   ASSERT_EQ(first.use_count(), 2u);
 
-  const auto verdict = model->on_payload(/*now=*/0, /*from=*/0, /*to=*/1, *first);
+  Rng sender_stream(3);  // stands in for the sender's transport stream
+  const auto verdict =
+      model->on_payload(/*now=*/0, /*from=*/0, /*to=*/1, *first, sender_stream);
   ASSERT_EQ(verdict.action, FaultModel::TamperVerdict::Action::Replace);
   ASSERT_TRUE(verdict.replacement);
   EXPECT_NE(verdict.replacement.get(), first.get());

