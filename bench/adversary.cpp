@@ -5,7 +5,7 @@
 // (ByzantineModel): descriptor poisoning from fixed sybil pools, eclipse
 // floods prefix-close to the victim, sender-ID spoofing, answer suppression
 // and wire corruption — layered over the liveness extension
-// (evict_unresponsive), which the hardened runs reuse for probe-based
+// (LivenessPolicy::Evict), which the hardened runs reuse for probe-based
 // verification. Every (f, hardened) pair runs on the same engine seed, so
 // the base trajectory is shared and the curves isolate the adversary's and
 // the hardening's effects.
@@ -93,10 +93,9 @@ int main(int argc, char** argv) {
       // The liveness extension is on everywhere: the hardened runs reuse its
       // probing machinery for verification, and keeping it on in the
       // unhardened runs too means the gap measures hardening, not eviction.
-      cfg.bootstrap.evict_unresponsive = true;
+      cfg.bootstrap.liveness = LivenessPolicy::Evict;
       cfg.bootstrap.tombstone_ttl_cycles = 8;
-      cfg.bootstrap.harden = hardened;
-      cfg.newscast.harden = hardened;
+      cfg.bootstrap.harden = hardened;  // hardens Newscast too
 
       AdversaryPlan& plan = s.plan;
       plan.fraction = f;

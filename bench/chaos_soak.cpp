@@ -59,23 +59,16 @@ ChaosObservation run_case(const ChaosCase& c, std::size_t n, std::size_t shards,
   cfg.max_cycles = t.max_cycles;
   cfg.stop_at_convergence = false;
   cfg.fault_plan = c.plan;
-  cfg.bootstrap.evict_unresponsive = true;
+  // `retries` picks the liveness policy and the workload retry layer
+  // together; `harden` covers the bootstrap protocol and Newscast alike.
+  cfg.bootstrap.liveness = c.retries ? LivenessPolicy::Adaptive : LivenessPolicy::Evict;
   cfg.bootstrap.tombstone_ttl_cycles = 5;
   cfg.bootstrap.harden = c.harden;
-  if (c.retries) {
-    cfg.bootstrap.retry_exchanges = true;
-    cfg.bootstrap.exchange_retry_budget = 2;
-    cfg.bootstrap.adaptive_timeout = true;
-    cfg.bootstrap.rtt_max_timeout = 2 * kDelta;
-    cfg.bootstrap.suspicion_threshold = 3;
-  }
 
   WorkloadParams wp;
   if (c.retries) {
     wp.retry = true;
     wp.retry_budget = 2;
-    wp.adaptive_timeout = true;
-    wp.rtt_max_timeout = 2 * kDelta;
     wp.hedge_delay = kDelta / 2;
     wp.cast_retries = 1;
   }
@@ -83,8 +76,7 @@ ChaosObservation run_case(const ChaosCase& c, std::size_t n, std::size_t shards,
   cfg.node_extension = stack.node_extension();
 
   BootstrapExperiment exp(cfg);
-  stack.log().bind_registry(exp.engine().metrics());
-  if (c.retries) stack.log().bind_retry_registry(exp.engine().metrics());
+  stack.bind_registry(exp.engine().metrics());
 
   std::unique_ptr<ByzantineModel> adversary;
   if (c.has_adversary()) {

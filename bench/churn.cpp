@@ -58,7 +58,8 @@ int main(int argc, char** argv) {
     cfg.stop_at_convergence = false;
     cfg.churn_fail_rate = rate;
     cfg.churn_join_rate = rate;
-    cfg.bootstrap.evict_unresponsive = rate > 0.0;  // extension; see DESIGN.md
+    // Liveness extension (see DESIGN.md) only where nodes actually fail.
+    cfg.bootstrap.liveness = rate > 0.0 ? LivenessPolicy::Evict : LivenessPolicy::Off;
     cfg.sample_every_cycles = sample_every <= 0 ? 0 : static_cast<std::size_t>(sample_every);
     if (!trace_prefix.empty()) {
       cfg.trace_path = trace_prefix + "_" + std::to_string(index) + ".jsonl";

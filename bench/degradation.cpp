@@ -1,9 +1,10 @@
 // Degradation sweep: steady-state KV goodput under i.i.d. transport loss of
-// 0..30%, with the robustness layer off ("base") and on ("retry": adaptive
-// RTT timeouts, bounded exponential-backoff retries, hedged gets, bootstrap
-// exchange retries + suspicion accrual). The headline rows the baseline
-// gates: at 20% loss the retry arm holds goodput near 1.0 while the base arm
-// degrades with the loss rate — the quantitative case for the retry layer.
+// 0..30%, with the robustness layer off ("base") and on ("retry": KV
+// retries over adaptive RTT timeouts, hedged gets, and the bootstrap's
+// LivenessPolicy::Adaptive — exchange retries, RTT timeouts, suspicion).
+// The headline rows the baseline gates: at 20% loss the retry arm holds
+// goodput near 1.0 while the base arm degrades with the loss rate — the
+// quantitative case for the retry layer.
 //
 // Exports BENCH_degradation.json with per-arm goodput / latency / timeout
 // rows plus the retry.*, hedge.* and rtt.* counter families, all pure
@@ -37,13 +38,8 @@ void run_arm(Arm& arm, std::size_t n, std::uint64_t seed, std::size_t shards) {
   cfg.max_cycles = 40;
   cfg.stop_at_convergence = false;
   if (arm.retries) {
-    cfg.bootstrap.evict_unresponsive = true;
+    cfg.bootstrap.liveness = LivenessPolicy::Adaptive;
     cfg.bootstrap.tombstone_ttl_cycles = 5;
-    cfg.bootstrap.retry_exchanges = true;
-    cfg.bootstrap.exchange_retry_budget = 2;
-    cfg.bootstrap.adaptive_timeout = true;
-    cfg.bootstrap.rtt_max_timeout = 2 * kDelta;
-    cfg.bootstrap.suspicion_threshold = 3;
   }
 
   WorkloadParams wp;
@@ -56,17 +52,12 @@ void run_arm(Arm& arm, std::size_t n, std::uint64_t seed, std::size_t shards) {
     // so steeper factors only stretch the drain tail without helping.
     wp.retry_budget = 12;
     wp.retry_backoff = 1.2;
-    wp.retry_jitter = 0.1;
-    wp.adaptive_timeout = true;
-    wp.rtt_min_timeout = 64;
-    wp.rtt_max_timeout = 2 * kDelta;
     wp.hedge_delay = kDelta;
   }
   WorkloadStack stack(wp);
   cfg.node_extension = stack.node_extension();
   BootstrapExperiment exp(cfg);
-  stack.log().bind_registry(exp.engine().metrics());
-  if (arm.retries) stack.log().bind_retry_registry(exp.engine().metrics());
+  stack.bind_registry(exp.engine().metrics());
 
   const SimTime epoch = cfg.warmup_cycles * kDelta;
   DriverConfig dc;

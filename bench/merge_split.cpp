@@ -157,7 +157,7 @@ int main(int argc, char** argv) {
     // Liveness maintenance (extension, DESIGN.md): without eviction, dead
     // descriptors surviving in Newscast views at restart time re-enter the
     // cleared tables and block the slots of their alive successors forever.
-    cfg.bootstrap.evict_unresponsive = true;
+    cfg.bootstrap.liveness = LivenessPolicy::Evict;
     cfg.bootstrap.tombstone_ttl_cycles = 60;
     BootstrapExperiment exp(cfg);
     Engine& engine = exp.engine();

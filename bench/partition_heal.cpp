@@ -3,7 +3,7 @@
 // Scenario PARTITION-HEAL: one pool bootstraps; mid-convergence a FaultPlan
 // cuts the network into two halves by address. Because IDs are random, an
 // address cut splits every node's ID neighbourhood roughly in half, so with
-// the liveness extension on (evict_unresponsive + per-exchange timeouts) the
+// the liveness extension on (LivenessPolicy::Evict: per-exchange timeouts) the
 // far side gets probed, condemned and tombstoned — the measured missing-leaf
 // fraction climbs while the partition holds. When the window closes (the
 // heal), tombstones expire and the still-running gossip re-absorbs the far
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
     // The liveness extension is the point: real non-answers across the cut
     // drive exchange timeouts -> demotion -> condemnation. A short tombstone
     // TTL lets the far side return quickly after the heal.
-    cfg.bootstrap.evict_unresponsive = true;
+    cfg.bootstrap.liveness = LivenessPolicy::Evict;
     cfg.bootstrap.tombstone_ttl_cycles = 5;
 
     const SimTime delta = cfg.bootstrap.delta;
@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
     cfg.max_cycles = 40;
     cfg.stop_at_convergence = false;
     cfg.sample_every_cycles = sample_every <= 0 ? 0 : static_cast<std::size_t>(sample_every);
-    cfg.bootstrap.evict_unresponsive = true;
+    cfg.bootstrap.liveness = LivenessPolicy::Evict;
     cfg.bootstrap.tombstone_ttl_cycles = 5;
 
     const SimTime delta = cfg.bootstrap.delta;

@@ -57,10 +57,7 @@ PhaseOutcome run_phase(PhasePlan plan, DriverConfig base_driver) {
   plan.cfg.stop_at_convergence = false;
   plan.cfg.node_extension = stack.node_extension();
   BootstrapExperiment exp(plan.cfg);
-  stack.log().bind_registry(exp.engine().metrics());
-  if (plan.wl.retry || plan.wl.hedge_delay > 0 || plan.wl.cast_retries > 0) {
-    stack.log().bind_retry_registry(exp.engine().metrics());
-  }
+  stack.bind_registry(exp.engine().metrics());
 
   const SimTime delta = plan.cfg.bootstrap.delta;
   const SimTime epoch = plan.cfg.warmup_cycles * delta;
@@ -201,10 +198,6 @@ int main(int argc, char** argv) {
   retry_wl.retry = true;
   retry_wl.retry_budget = 5;
   retry_wl.retry_backoff = 1.5;
-  retry_wl.retry_jitter = 0.1;
-  retry_wl.adaptive_timeout = true;
-  retry_wl.rtt_min_timeout = 64;
-  retry_wl.rtt_max_timeout = 2 * kDelta;
   retry_wl.hedge_delay = kDelta / 2;
   {
     // CHURN: continuous fail/join at 2%/cycle each with the liveness
@@ -214,7 +207,7 @@ int main(int argc, char** argv) {
     p.cfg = base_cfg(2, 30);
     p.cfg.churn_fail_rate = 0.02;
     p.cfg.churn_join_rate = 0.02;
-    p.cfg.bootstrap.evict_unresponsive = true;
+    p.cfg.bootstrap.liveness = LivenessPolicy::Evict;
     p.cfg.bootstrap.tombstone_ttl_cycles = 5;
     p.wl = retry_wl;
     p.wl_from_cycle = 14;
@@ -230,7 +223,7 @@ int main(int argc, char** argv) {
     PhasePlan p;
     p.name = "heal";
     p.cfg = base_cfg(3, 32);
-    p.cfg.bootstrap.evict_unresponsive = true;
+    p.cfg.bootstrap.liveness = LivenessPolicy::Evict;
     p.cfg.bootstrap.tombstone_ttl_cycles = 5;
     p.wl = retry_wl;
     const SimTime delta = p.cfg.bootstrap.delta;

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   cfg.seed = seed;
   cfg.max_cycles = 120;
   cfg.stop_at_convergence = false;
-  cfg.bootstrap.evict_unresponsive = true;  // liveness maintenance extension
+  cfg.bootstrap.liveness = LivenessPolicy::Evict;  // liveness maintenance extension
   cfg.bootstrap.tombstone_ttl_cycles = 60;
   BootstrapExperiment exp(cfg);
   Engine& engine = exp.engine();

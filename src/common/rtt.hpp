@@ -7,11 +7,11 @@
 // retransmitted request — is the caller's responsibility: the caller knows
 // which request was retransmitted, the estimator only sees clean samples.
 //
-// RetryPolicy is the matching send-side half: a bounded retry budget and an
-// exponential backoff schedule with deterministic jitter. The jitter draw
-// comes from the caller-supplied Rng — protocols pass their per-node stream,
-// which is what keeps retry timing a pure function of the trajectory and
-// byte-identical across the sharded engine's --shards K.
+// RetryPolicy is the matching send-side half: an exponential backoff
+// schedule with deterministic jitter (callers bound the attempts). The
+// jitter draw comes from the caller-supplied Rng — protocols pass their
+// per-node stream, which is what keeps retry timing a pure function of the
+// trajectory and byte-identical across the sharded engine's --shards K.
 //
 // Times are plain ticks (std::uint64_t): like obs/, this header must not
 // depend on sim/ — the simulator and a future real-clock backend both feed
@@ -30,7 +30,7 @@ struct RttConfig {
   std::uint64_t initial_timeout = 400;
   /// Clamp bounds for the computed timeout. min_timeout must stay above the
   /// transport's minimum one-way latency or every request "times out" while
-  /// its answer is still in flight (experiment setup validates this).
+  /// its answer is still in flight.
   std::uint64_t min_timeout = 64;
   std::uint64_t max_timeout = 4000;
 };
@@ -74,12 +74,9 @@ class RttEstimator {
   bool has_sample_ = false;
 };
 
-/// Bounded exponential-backoff retry schedule with deterministic jitter.
+/// Exponential-backoff retry schedule with deterministic jitter. The
+/// caller owns the retry budget.
 struct RetryPolicy {
-  /// Retransmissions allowed per request beyond the first send. 0 disables
-  /// retries entirely (no extra RNG draws, no extra timers — a disabled
-  /// policy leaves the trajectory bit-identical to a build without it).
-  int budget = 0;
   /// Delay multiplier per consecutive attempt (integer doubling keeps the
   /// schedule platform-independent; values other than 2 round down).
   double backoff = 2.0;

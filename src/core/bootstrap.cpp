@@ -12,6 +12,13 @@ namespace {
 constexpr std::uint64_t kInitTimer = BootstrapProtocol::kRestartTimer;
 constexpr std::uint64_t kActiveTimer = 2;
 
+// The LivenessPolicy::Adaptive bundle (config.hpp documents it).
+constexpr int kExchangeRetryBudget = 2;  // retransmissions beyond the first send
+constexpr double kRetryBackoff = 2.0;
+constexpr double kRetryJitter = 0.1;
+constexpr SimTime kRttMinTimeout = 64;
+constexpr int kSuspicionThreshold = 3;
+
 // Hot-path scratch shared by every protocol instance on a worker lane.
 // Thread-local (not per-node members): the buffers hold data only alive
 // within one create_message / update_from / select_peer call, the callbacks
@@ -48,12 +55,7 @@ BootstrapProtocol::BootstrapProtocol(BootstrapConfig config, PeerSampler* sample
   BSVC_CHECK(config_.c >= 2);
   BSVC_CHECK(config_.k >= 1);
   config_.digits.validate<NodeId>();
-  RttConfig rc;
-  rc.initial_timeout =
-      config_.exchange_timeout != 0 ? config_.exchange_timeout : config_.delta / 2;
-  rc.min_timeout = config_.rtt_min_timeout;
-  rc.max_timeout = config_.rtt_max_timeout;
-  rtt_ = RttEstimator(rc);
+  rtt_ = RttEstimator(RttConfig{config_.delta / 2, kRttMinTimeout, 2 * config_.delta});
 }
 
 void BootstrapProtocol::on_start(Context& ctx) {
@@ -64,9 +66,9 @@ void BootstrapProtocol::on_start(Context& ctx) {
   ctr_select_peer_empty_ = &metrics.counter("bootstrap.select_peer_empty");
   ctr_condemned_ = &metrics.counter("bootstrap.condemned");
   ctr_exchange_timeout_ = &metrics.counter("bootstrap.exchange_timeout");
-  if (config_.retry_exchanges) ctr_retry_ = &metrics.counter("retry.exchange");
-  if (config_.adaptive_timeout) ctr_rtt_samples_ = &metrics.counter("rtt.samples");
-  if (config_.suspicion_threshold > 0) {
+  if (adaptive()) {
+    ctr_retry_ = &metrics.counter("retry.exchange");
+    ctr_rtt_samples_ = &metrics.counter("rtt.samples");
     ctr_suspect_marked_ = &metrics.counter("suspect.marked");
     ctr_suspect_decayed_ = &metrics.counter("suspect.decayed");
     ctr_suspect_evicted_ = &metrics.counter("suspect.evicted");
@@ -116,8 +118,7 @@ void BootstrapProtocol::on_timer(Context& ctx, std::uint64_t timer_id) {
 }
 
 SimTime BootstrapProtocol::exchange_timeout_value() const {
-  if (config_.adaptive_timeout) return static_cast<SimTime>(rtt_.timeout());
-  return config_.exchange_timeout != 0 ? config_.exchange_timeout : config_.delta / 2;
+  return adaptive() ? static_cast<SimTime>(rtt_.timeout()) : config_.delta / 2;
 }
 
 void BootstrapProtocol::on_exchange_timeout(Context& ctx, std::uint64_t seq) {
@@ -126,7 +127,7 @@ void BootstrapProtocol::on_exchange_timeout(Context& ctx, std::uint64_t seq) {
   if (seq != exchange_seq_ || probe_answered_ || probe_peer_.addr == kNullAddress) return;
   if (!active()) return;
   now_ = ctx.now();
-  if (config_.retry_exchanges && exchange_attempts_ <= config_.exchange_retry_budget) {
+  if (adaptive() && exchange_attempts_ <= kExchangeRetryBudget) {
     // Retransmit to the same peer with a freshly rebuilt message (the tables
     // may have moved since the first send). Karn's rule: a retried exchange
     // contributes no RTT sample — its answer could belong to any copy.
@@ -138,20 +139,17 @@ void BootstrapProtocol::on_exchange_timeout(Context& ctx, std::uint64_t seq) {
     auto msg = create_message(probe_peer_.id, /*is_request=*/true);
     msg->span = open_span_;
     ctx.send(probe_peer_.addr, std::move(msg));
-    const RetryPolicy policy{config_.exchange_retry_budget, config_.retry_backoff,
-                             config_.retry_jitter};
+    const RetryPolicy policy{kRetryBackoff, kRetryJitter};
     const SimTime delay = static_cast<SimTime>(
         policy.delay(exchange_attempts_ - 1, exchange_timeout_value(), ctx.rng()));
     ++exchange_seq_;
     ctx.schedule_timer(delay, kExchangeTimeoutBase + exchange_seq_);
     return;
   }
-  if (config_.adaptive_timeout) rtt_.on_timeout();
+  if (adaptive()) rtt_.on_timeout();
   if (ctr_exchange_timeout_ != nullptr) ctr_exchange_timeout_->inc();
   close_span(now_, obs::SpanOutcome::Timeout);
-  if (config_.suspicion_threshold > 0 && raise_suspicion(probe_peer_.addr)) {
-    if (ctr_suspect_evicted_ != nullptr) ctr_suspect_evicted_->inc();
-    suspicion_.erase(probe_peer_.addr);
+  if (adaptive() && raise_suspicion(probe_peer_.addr)) {
     condemn(probe_peer_.id, now_);
     return;
   }
@@ -176,9 +174,7 @@ void BootstrapProtocol::init_tables(Context& /*ctx*/) {
 
 void BootstrapProtocol::active_step(Context& ctx) {
   now_ = ctx.now();
-  if (config_.evict_unresponsive) {
-    maintenance_step(ctx);
-  }
+  if (evicts()) maintenance_step(ctx);
   // A span still open here got neither answer nor timeout (or the timeout
   // extension is off): this cycle's exchange supersedes it.
   close_span(now_, obs::SpanOutcome::Superseded);
@@ -217,7 +213,7 @@ void BootstrapProtocol::active_step(Context& ctx) {
   exchange_retried_ = false;
   exchange_sent_at_ = now_;
   ctx.send(peer->addr, std::move(msg));
-  if (config_.evict_unresponsive) {
+  if (evicts()) {
     ++exchange_seq_;
     ctx.schedule_timer(exchange_timeout_value(), kExchangeTimeoutBase + exchange_seq_);
   }
@@ -230,20 +226,12 @@ void BootstrapProtocol::maintenance_step(Context& ctx) {
   const SimTime now = ctx.now();
   for (auto it = outstanding_probes_.begin(); it != outstanding_probes_.end();) {
     if (now - it->sent > config_.delta) {
-      // One-shot mode evicts after kProbeAttempts silences; accrual mode adds
-      // one suspicion unit per silent round and keeps probing below the
+      // Evict condemns after kProbeAttempts silences; Adaptive adds one
+      // suspicion unit per silent round and keeps probing below the
       // threshold, so a transiently slow peer survives (its answers decay
       // the level back down).
-      bool evict;
-      if (config_.suspicion_threshold > 0) {
-        evict = raise_suspicion(it->target.addr);
-        if (evict) {
-          if (ctr_suspect_evicted_ != nullptr) ctr_suspect_evicted_->inc();
-          suspicion_.erase(it->target.addr);
-        }
-      } else {
-        evict = it->attempts >= kProbeAttempts;
-      }
+      const bool evict =
+          adaptive() ? raise_suspicion(it->target.addr) : it->attempts >= kProbeAttempts;
       if (evict) {
         condemn(it->target.id, now);
         last_heard_.erase(it->target.addr);
@@ -339,7 +327,7 @@ std::optional<NodeDescriptor> BootstrapProtocol::select_peer(Context& ctx) {
   const std::size_t ns = succ.empty() ? 0 : std::max<std::size_t>(1, succ.size() / 2);
   const std::size_t np = pred.empty() ? 0 : std::max<std::size_t>(1, pred.size() / 2);
   if (ns + np == 0) return std::nullopt;
-  if (config_.evict_unresponsive && !outstanding_probes_.empty()) {
+  if (evicts() && !outstanding_probes_.empty()) {
     // Demotion: suspected peers (probe outstanding) are skipped, so the
     // active thread stops burning exchanges on a partitioned or dark peer.
     // If every near-half candidate is suspected, fall through to the plain
@@ -457,7 +445,7 @@ std::unique_ptr<BootstrapMessage> BootstrapProtocol::create_message(NodeId peer_
     for (std::size_t i = take_s; i < succ.size(); ++i) consider(succ[i]);
     for (std::size_t i = take_p; i < pred.size(); ++i) consider(pred[i]);
   }
-  if (config_.evict_unresponsive && !tombstones_.empty()) {
+  if (evicts() && !tombstones_.empty()) {
     for (const auto& [id, expiry] : tombstones_) {
       if (expiry <= now_) continue;
       msg->tombstones.push_back({id, expiry});
@@ -478,9 +466,9 @@ void BootstrapProtocol::on_message(Context& ctx, Address from, const Payload& pa
   // binding an answered probe was verifying — the hardened echo check needs
   // it after the erase.
   std::optional<NodeDescriptor> answered_probe;
-  if (config_.evict_unresponsive) {
+  if (evicts()) {
     last_heard_[from] = ctx.now();
-    if (config_.suspicion_threshold > 0) decay_suspicion(from);
+    if (adaptive()) decay_suspicion(from);
     for (auto it = outstanding_probes_.begin(); it != outstanding_probes_.end(); ++it) {
       if (it->target.addr == from) {
         answered_probe = it->target;
@@ -530,7 +518,7 @@ void BootstrapProtocol::on_message(Context& ctx, Address from, const Payload& pa
   }
   if (from == probe_peer_.addr) {
     if (!probe_answered_) {
-      if (config_.adaptive_timeout && !exchange_retried_ && now_ >= exchange_sent_at_) {
+      if (adaptive() && !exchange_retried_ && now_ >= exchange_sent_at_) {
         rtt_.on_sample(now_ - exchange_sent_at_);
         if (ctr_rtt_samples_ != nullptr) ctr_rtt_samples_->inc();
       }
@@ -550,7 +538,7 @@ void BootstrapProtocol::on_message(Context& ctx, Address from, const Payload& pa
     ctx.send(from, std::move(reply));
   }
   if (stats_ != nullptr) ++stats_->messages_received;
-  if (config_.evict_unresponsive) adopt_tombstones(msg->tombstones, ctx.now());
+  if (evicts()) adopt_tombstones(msg->tombstones, ctx.now());
   update_from(*msg, from);
 }
 
@@ -559,7 +547,10 @@ bool BootstrapProtocol::raise_suspicion(Address addr) {
   int& level = suspicion_[addr];
   ++level;
   if (ctr_suspect_marked_ != nullptr) ctr_suspect_marked_->inc();
-  return level >= config_.suspicion_threshold;
+  if (level < kSuspicionThreshold) return false;
+  if (ctr_suspect_evicted_ != nullptr) ctr_suspect_evicted_->inc();
+  suspicion_.erase(addr);
+  return true;
 }
 
 void BootstrapProtocol::decay_suspicion(Address addr) {
@@ -611,7 +602,7 @@ void BootstrapProtocol::update_from(const BootstrapMessage& msg, Address from) {
   const auto all = msg.all_entries();
   combined.insert(combined.end(), all.begin(), all.end());
   combined.push_back(msg.sender);
-  if (config_.evict_unresponsive && !tombstones_.empty()) {
+  if (evicts() && !tombstones_.empty()) {
     combined.erase(std::remove_if(combined.begin(), combined.end(),
                                   [this](const NodeDescriptor& d) {
                                     return is_tombstoned(d.id, now_);

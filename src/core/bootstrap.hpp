@@ -119,8 +119,8 @@ class BootstrapMessage final : public Payload, public PooledAlloc<BootstrapMessa
   void append_prefix_entry(const NodeDescriptor& d) { entries_.push_back(d); }
 
   NodeDescriptor sender;
-  /// Death certificates piggybacked by the evict_unresponsive extension
-  /// (empty when the extension is off). Bounded by kMaxTombstonesPerMessage.
+  /// Death certificates piggybacked under a liveness policy (empty with
+  /// LivenessPolicy::Off). Bounded by kMaxTombstonesPerMessage.
   std::vector<Tombstone> tombstones;
   bool is_request;
 
@@ -131,8 +131,8 @@ class BootstrapMessage final : public Payload, public PooledAlloc<BootstrapMessa
   std::size_t ring_count_ = 0;
 };
 
-/// Tiny liveness probe (and its echo) used by the evict_unresponsive
-/// extension's maintenance loop. The echo carries the responder's own ID,
+/// Tiny liveness probe (and its echo) used by the liveness policies'
+/// maintenance loop. The echo carries the responder's own ID,
 /// which doubles as the binding confirmation of the hardened protocol: a
 /// probe to an address whose echo contradicts the advertised ID exposes a
 /// fabricated ID/address binding (the probe request itself discloses
@@ -197,7 +197,7 @@ class BootstrapProtocol final : public Protocol {
   /// gossip chain is unaffected (it is started once and keeps running).
   static constexpr std::uint64_t kRestartTimer = 1;
 
-  /// Timer-id base for per-exchange timeouts (evict_unresponsive only):
+  /// Timer-id base for per-exchange timeouts (liveness policy on only):
   /// exchange n schedules timer kExchangeTimeoutBase + n, so a stale
   /// timeout — the peer answered, or a newer exchange superseded it — is
   /// recognized and ignored on fire.
@@ -224,6 +224,11 @@ class BootstrapProtocol final : public Protocol {
   /// the transport-level sender (hardened filtering keys off it).
   void update_from(const BootstrapMessage& msg, Address from);
 
+  /// Evict and Adaptive: exchange timeouts, probing and death certificates.
+  bool evicts() const { return config_.liveness != LivenessPolicy::Off; }
+  /// Adaptive only: exchange retries, RTT timeouts and suspicion accrual.
+  bool adaptive() const { return config_.liveness == LivenessPolicy::Adaptive; }
+
   BootstrapConfig config_;
   PeerSampler* sampler_;
   BootstrapStats* stats_;
@@ -234,8 +239,8 @@ class BootstrapProtocol final : public Protocol {
   obs::Counter* ctr_select_peer_empty_ = nullptr;
   obs::Counter* ctr_condemned_ = nullptr;
   obs::Counter* ctr_exchange_timeout_ = nullptr;
-  // Retry / suspicion counters (registered only when the matching feature is
-  // on, so legacy runs keep an unchanged metrics registry).
+  // Retry / suspicion counters (registered only under LivenessPolicy::
+  // Adaptive, so other runs keep an unchanged metrics registry).
   obs::Counter* ctr_retry_ = nullptr;            // retry.exchange
   obs::Counter* ctr_rtt_samples_ = nullptr;      // rtt.samples
   obs::Counter* ctr_suspect_marked_ = nullptr;   // suspect.marked
@@ -257,8 +262,8 @@ class BootstrapProtocol final : public Protocol {
   std::optional<LeafSet> leaf_;
   std::optional<PrefixTable> prefix_;
   bool chain_started_ = false;
-  // Liveness probe state for the evict_unresponsive extension: the peer the
-  // last request went to, and whether anything has been heard from it since.
+  // Liveness probe state (liveness policy on): the peer the last request
+  // went to, and whether anything has been heard from it since.
   NodeDescriptor probe_peer_{0, kNullAddress};
   bool probe_answered_ = true;
   // Maintenance loop state (extension): when each table entry was last
@@ -274,7 +279,7 @@ class BootstrapProtocol final : public Protocol {
   std::size_t prefix_probe_cursor_ = 0;
   // Monotone exchange counter; pairs with kExchangeTimeoutBase.
   std::uint64_t exchange_seq_ = 0;
-  // --- adaptive retry state (config_.retry_exchanges / adaptive_timeout) ---
+  // --- adaptive retry state (LivenessPolicy::Adaptive) --------------------
   // Per-node RTT estimator fed from clean exchange round trips; Karn's rule
   // is enforced via exchange_retried_ (a retransmitted exchange contributes
   // no sample — its answer could belong to any of its transmissions).
@@ -282,16 +287,16 @@ class BootstrapProtocol final : public Protocol {
   int exchange_attempts_ = 1;      // transmissions of the current exchange
   bool exchange_retried_ = false;  // any retransmission happened
   SimTime exchange_sent_at_ = 0;   // first transmission time (RTT sample base)
-  /// Current per-exchange answer timeout: the RTT estimate when
-  /// adaptive_timeout is on, else the fixed config value (0 = Δ/2).
+  /// Current per-exchange answer timeout: the RTT estimate under Adaptive,
+  /// else the fixed Δ/2.
   SimTime exchange_timeout_value() const;
-  // --- suspicion accrual (config_.suspicion_threshold > 0) ----------------
+  // --- suspicion accrual (LivenessPolicy::Adaptive) -----------------------
   // Suspicion level per address. Raised one unit per unanswered exchange or
   // silent probe round, lowered one unit per message heard; reaching the
   // threshold condemns. Bounded: entries leave on decay-to-zero or condemn.
   std::unordered_map<Address, int> suspicion_;
-  /// Adds one suspicion unit; returns true when the threshold is reached
-  /// (the caller condemns).
+  /// Adds one suspicion unit; at the threshold it forgets the level and
+  /// returns true (the caller condemns).
   bool raise_suspicion(Address addr);
   /// Removes one suspicion unit on any sign of life.
   void decay_suspicion(Address addr);
@@ -324,7 +329,7 @@ class BootstrapProtocol final : public Protocol {
   /// Starts probing `target` unless one is already outstanding.
   void send_probe(Context& ctx, const NodeDescriptor& target);
   /// Fired kExchangeTimeoutBase + seq: the request of exchange `seq` went
-  /// unanswered for config_.exchange_timeout ticks.
+  /// unanswered for exchange_timeout_value() ticks.
   void on_exchange_timeout(Context& ctx, std::uint64_t seq);
 
   /// Records a certificate for an unresponsive peer and removes it locally.
@@ -336,9 +341,9 @@ class BootstrapProtocol final : public Protocol {
 
   // --- Byzantine hardening (config_.harden) -------------------------------
 
-  /// Whether the probe-based defenses are live (harden reuses the
-  /// evict_unresponsive maintenance machinery).
-  bool probing_defense() const { return config_.harden && config_.evict_unresponsive; }
+  /// Whether the probe-based defenses are live (harden reuses the liveness
+  /// maintenance machinery).
+  bool probing_defense() const { return config_.harden && evicts(); }
   /// Handles a probe echo: pins the address→ID binding, exposes fabricated
   /// bindings (believed ID ≠ echoed ID), and settles quarantined entries.
   /// `believed` is the outstanding-probe target this echo answered, if any.

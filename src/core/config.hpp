@@ -2,12 +2,37 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 #include "id/digits.hpp"
 #include "sim/engine.hpp"
 
 namespace bsvc {
+
+/// How the protocol handles unresponsive peers — an extension beyond the
+/// paper (docs/faults.md, "Exchange timeouts").
+enum class LivenessPolicy {
+  /// The paper's protocol: no timeouts, probes or death certificates.
+  Off,
+  /// Evict a peer from both tables when it stops answering, and spread
+  /// death certificates: every request arms a Δ/2 exchange timeout, a
+  /// silent peer is demoted into a probing maintenance loop (LRU leaf probe
+  /// + prefix sweep; SELECTPEER skips it), and kProbeAttempts silent probes
+  /// condemn it. A condemned ID is tombstoned and the tombstone piggybacks
+  /// on outgoing messages, so the whole network stops resurrecting the dead
+  /// entry (without certificates, gossip re-infects tables faster than
+  /// local eviction cleans them — the classic SIS-epidemic persistence).
+  /// Under message loss this can temporarily suppress live peers (they
+  /// return after the tombstone expires).
+  Evict,
+  /// Evict plus three adaptive parts: a timed-out exchange is retransmitted
+  /// to the same peer up to twice (backoff 2.0, jitter 0.1) before the
+  /// probing path takes over; the exchange timeout is a per-node
+  /// Jacobson/Karn estimate that starts at Δ/2 and is clamped to [64, 2Δ];
+  /// and condemnation accrues suspicion — each silent exchange or probe
+  /// round adds a unit, each message heard removes one, and level 3
+  /// condemns.
+  Adaptive,
+};
 
 /// All protocol parameters, defaulted to the paper's simulation settings
 /// (§5: b = 4, k = 3, c = 20, cr = 30).
@@ -38,98 +63,23 @@ struct BootstrapConfig {
 
   // --- extension beyond the paper ----------------------------------------
 
-  /// Evict a peer from both tables when a request to it goes unanswered for
-  /// a full cycle, run a probing maintenance loop (LRU leaf probe + prefix
-  /// sweep), and spread death certificates: an evicted ID is tombstoned and
-  /// the tombstone piggybacks on outgoing messages, so the whole network
-  /// stops resurrecting the dead entry (without certificates, gossip
-  /// re-infects tables faster than local eviction cleans them — the classic
-  /// SIS-epidemic persistence). The paper's Fig. 2 protocol has no liveness
-  /// handling (deployed DHTs layer their own maintenance on top), so this
-  /// defaults to off; churn and recovery scenarios enable it. Under message
-  /// loss this can temporarily suppress live peers (they return after the
-  /// tombstone expires).
-  bool evict_unresponsive = false;
-  /// Tombstone lifetime, in cycles (only with evict_unresponsive).
+  /// Liveness handling (see LivenessPolicy). The paper's Fig. 2 protocol
+  /// has none, so this defaults to Off; churn, fault and recovery scenarios
+  /// pick Evict or Adaptive.
+  LivenessPolicy liveness = LivenessPolicy::Off;
+  /// Death-certificate lifetime, in cycles (Evict and Adaptive only).
   std::size_t tombstone_ttl_cycles = 20;
-  /// Per-exchange answer timeout in ticks (only with evict_unresponsive;
-  /// 0 = Δ/2). A request unanswered this long demotes the peer: it enters
-  /// the probing path (SELECTPEER skips it until it answers) and is
-  /// condemned after kProbeAttempts silent probes. This wires eviction
-  /// through real non-answers — partitions, crashed-but-recovering nodes
-  /// and heavy loss trigger it without any oracle liveness.
-  SimTime exchange_timeout = 0;
 
   /// Byzantine hardening (see docs/faults.md, threat model): sender
   /// self-consistency checks, per-message contribution caps, address→ID
   /// pinning confirmed by probe echoes, and a quarantine with
   /// probe-before-trust for descriptors contributed by peers caught lying.
-  /// The probe-based defenses require evict_unresponsive (they reuse its
-  /// maintenance machinery). Off by default: with harden = false the
-  /// protocol is byte-identical to the unhardened build — the golden
-  /// replays witness this.
+  /// The probe-based defenses need a liveness policy other than Off (they
+  /// reuse its maintenance machinery). The experiment harness hardens the
+  /// Newscast layer underneath with the same switch. Off by default: with
+  /// harden = false the protocol is byte-identical to the unhardened build —
+  /// the golden replays witness this.
   bool harden = false;
-
-  // --- adaptive retry / suspicion extension (requires evict_unresponsive,
-  // --- which owns the per-exchange timeout machinery; see docs/workloads.md)
-
-  /// Retransmit an unanswered exchange request — same peer, freshly rebuilt
-  /// message, exponential backoff with per-node-RNG jitter — before demoting
-  /// the peer into the probing path. Off by default: disabled runs are
-  /// bit-identical to the pre-retry protocol (golden replays witness this).
-  bool retry_exchanges = false;
-  /// Retransmissions allowed per exchange beyond the first send. Must be
-  /// positive when retry_exchanges is set (experiment setup enforces it).
-  int exchange_retry_budget = 2;
-  /// Backoff multiplier and jitter fraction of the retry schedule.
-  double retry_backoff = 2.0;
-  double retry_jitter = 0.1;
-  /// Replace the fixed exchange_timeout with a per-node Jacobson/Karn
-  /// estimate, srtt + 4 * rttvar clamped to [rtt_min_timeout,
-  /// rtt_max_timeout]. Samples come from clean (never-retransmitted)
-  /// exchange round trips; retried exchanges are discarded per Karn's rule.
-  bool adaptive_timeout = false;
-  SimTime rtt_min_timeout = 64;
-  SimTime rtt_max_timeout = 4 * kDelta;
-  /// Suspicion-level failure accrual replacing one-shot eviction: every
-  /// unanswered exchange or silent probe round adds one suspicion unit for
-  /// the peer, any message heard from it removes one, and the peer is
-  /// condemned only when its level reaches this threshold — so a transient
-  /// latency spike demotes (SELECTPEER skips the suspect) without evicting
-  /// a live peer. 0 keeps the legacy kProbeAttempts one-shot eviction.
-  int suspicion_threshold = 0;
-
-  /// Returns "" when the retry/timeout knobs are coherent with the transport
-  /// (min one-way latency `min_latency`), else the first problem. Experiment
-  /// setup rejects a bad config via the exit-2 path.
-  std::string validate(SimTime min_latency) const {
-    if (evict_unresponsive && exchange_timeout != 0 && exchange_timeout <= min_latency) {
-      return "exchange_timeout (" + std::to_string(exchange_timeout) +
-             ") must exceed the transport's min_latency (" +
-             std::to_string(min_latency) + "): an answer can never arrive sooner";
-    }
-    if (retry_exchanges && exchange_retry_budget <= 0) {
-      return "exchange_retry_budget must be positive when retry_exchanges is set (got " +
-             std::to_string(exchange_retry_budget) + ")";
-    }
-    if (retry_exchanges && !evict_unresponsive) {
-      return "retry_exchanges requires evict_unresponsive (it rides the "
-             "per-exchange timeout machinery)";
-    }
-    if (adaptive_timeout && !evict_unresponsive) {
-      return "adaptive_timeout requires evict_unresponsive (it replaces the "
-             "per-exchange timeout value)";
-    }
-    if (adaptive_timeout &&
-        (rtt_min_timeout <= min_latency || rtt_min_timeout > rtt_max_timeout)) {
-      return "adaptive timeout bounds must satisfy min_latency < rtt_min_timeout "
-             "<= rtt_max_timeout";
-    }
-    if (suspicion_threshold < 0) {
-      return "suspicion_threshold must be >= 0 (0 disables accrual)";
-    }
-    return "";
-  }
 };
 
 }  // namespace bsvc

@@ -32,12 +32,6 @@ BootstrapExperiment::BootstrapExperiment(ExperimentConfig config) : config_(std:
     config_error("transport config", err);
   }
   if (config_.shards < 1) config_error("engine config", "shards must be >= 1");
-  // The retry/timeout knobs are only coherent relative to the transport's
-  // minimum latency, so they are checked here — where both are known.
-  if (const std::string err = config_.bootstrap.validate(transport.min_latency);
-      !err.empty()) {
-    config_error("bootstrap config", err);
-  }
   stats_blocks_.resize(config_.shards);
   engine_ = std::make_unique<Engine>(config_.seed, transport, config_.shards);
   if (!config_.trace_path.empty()) {
@@ -73,7 +67,9 @@ Address BootstrapExperiment::make_node() {
 
   PeerSampler* sampler = nullptr;
   if (config_.sampler == SamplerKind::Newscast) {
-    auto newscast = std::make_unique<NewscastProtocol>(config_.newscast);
+    NewscastConfig newscast_config;
+    newscast_config.harden = config_.bootstrap.harden;  // one adversarial switch
+    auto newscast = std::make_unique<NewscastProtocol>(newscast_config);
     sampler = newscast.get();
     engine.attach(addr, std::move(newscast));
   } else {

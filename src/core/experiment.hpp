@@ -37,8 +37,9 @@ struct ExperimentConfig {
   /// Engine shard count K >= 1 (worker lanes). The trajectory is identical
   /// for every K at a fixed seed (K = 1 is the inline reference).
   std::size_t shards = 1;
+  /// Protocol parameters. `bootstrap.harden` also hardens the Newscast
+  /// layer underneath, so one switch covers both protocols.
   BootstrapConfig bootstrap;
-  NewscastConfig newscast;
   SamplerKind sampler = SamplerKind::Newscast;
   /// Transport loss (paper Fig. 4: 0.2).
   double drop_probability = 0.0;

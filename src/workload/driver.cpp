@@ -19,6 +19,13 @@ WorkloadStack::WorkloadStack(WorkloadParams params) : params_(params) {
   }
 }
 
+void WorkloadStack::bind_registry(obs::MetricsRegistry& registry) {
+  log_.bind_registry(registry);
+  if (params_.retry || params_.hedge_delay > 0 || params_.cast_retries > 0) {
+    log_.bind_retry_registry(registry);
+  }
+}
+
 std::function<void(Engine&, Address)> WorkloadStack::node_extension(
     SlotRef<BootstrapProtocol> bootstrap) {
   return [this, bootstrap](Engine& engine, Address addr) {

@@ -37,8 +37,12 @@ class WorkloadStack {
   std::function<void(Engine&, Address)> node_extension(
       SlotRef<BootstrapProtocol> bootstrap = SlotRef<BootstrapProtocol>::assume(1));
 
+  /// Mirrors the log's counters into `registry` (WorkloadLog::bind_registry),
+  /// plus the retry-layer counters (bind_retry_registry) when the params
+  /// turn on retries, hedging or cast acks. Call before the run.
+  void bind_registry(obs::MetricsRegistry& registry);
+
   WorkloadLog& log() { return log_; }
-  const WorkloadParams& params() const { return params_; }
   /// Typed handle to the workload slot (valid once a node was attached;
   /// slot 2 under BootstrapExperiment).
   SlotRef<WorkloadService> slot() const { return slot_; }

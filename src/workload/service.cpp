@@ -10,6 +10,15 @@ namespace bsvc {
 
 namespace {
 
+// Service constants. Exhausting the hop budget drops a request, so
+// misrouted loops surface as timeouts, not infinite traffic.
+constexpr std::size_t kReplicas = 2;             // put copies beside the root's
+constexpr SimTime kRequestTimeout = 2 * kDelta;  // fixed; RTT seed and ceiling
+constexpr SimTime kRttMinTimeout = 64;           // adaptive timeout floor
+constexpr int kMaxHops = 64;                     // forwarding budget per request
+constexpr double kRetryJitter = 0.1;             // backoff jitter fraction
+constexpr SimTime kCastAckTimeout = kDelta / 2;  // cast re-delegation ack wait
+
 /// Table entries whose node is dead are skipped — the routing validation's
 /// timeout-and-try-alternate shorthand. Liveness flags only change at window
 /// barriers, so reading them inside shard windows is deterministic.
@@ -23,15 +32,11 @@ WorkloadService::WorkloadService(WorkloadParams params,
                                  SlotRef<BootstrapProtocol> bootstrap, WorkloadLog* log)
     : params_(params), bootstrap_(bootstrap), log_(log) {
   BSVC_CHECK(log_ != nullptr);
-  RttConfig rc;
-  rc.initial_timeout = params_.timeout;
-  rc.min_timeout = params_.rtt_min_timeout;
-  rc.max_timeout = params_.rtt_max_timeout;
-  rtt_ = RttEstimator(rc);
+  rtt_ = RttEstimator(RttConfig{kRequestTimeout, kRttMinTimeout, kRequestTimeout});
 }
 
 SimTime WorkloadService::timeout_value() const {
-  return params_.adaptive_timeout ? rtt_.timeout() : params_.timeout;
+  return params_.retry ? rtt_.timeout() : kRequestTimeout;
 }
 
 Address WorkloadService::route_step(Context& ctx, NodeId key) const {
@@ -77,7 +82,7 @@ std::uint64_t WorkloadService::begin_kv(Context& ctx, KvOp op, NodeId key,
   ctx.schedule_timer(timeout_value(), id);
 
   KvRequestMessage req(id, op, key, value_bytes, ctx.engine().descriptor_of(ctx.self()),
-                       static_cast<std::uint8_t>(params_.max_hops), 0, false);
+                       static_cast<std::uint8_t>(kMaxHops), 0, false);
   if (hop == ctx.self()) {
     // Already the root: serve locally, no wire traffic for the request.
     serve_as_root(ctx, req);
@@ -113,7 +118,7 @@ void WorkloadService::on_timer(Context& ctx, std::uint64_t timer_id) {
   }
   const KvOp op = it->second.op;
   pending_.erase(it);
-  if (params_.adaptive_timeout) rtt_.on_timeout();
+  if (params_.retry) rtt_.on_timeout();
   log_->on_timeout(op);
   if (obs::SpanLog* spans = ctx.engine().span_log(); spans != nullptr) {
     spans->close(timer_id, ctx.now(), obs::SpanOutcome::Timeout);
@@ -123,12 +128,11 @@ void WorkloadService::on_timer(Context& ctx, std::uint64_t timer_id) {
 void WorkloadService::retry_request(Context& ctx, std::uint64_t id, Pending& p) {
   ++p.attempts;
   p.retried = true;
-  if (params_.adaptive_timeout) rtt_.on_timeout();
+  rtt_.on_timeout();
   // Schedule the next backed-off timeout before resending: a same-node root
   // serve completes synchronously and erases the pending record, so nothing
   // may touch `p` after the send below.
-  const RetryPolicy policy{params_.retry_budget, params_.retry_backoff,
-                           params_.retry_jitter};
+  const RetryPolicy policy{params_.retry_backoff, kRetryJitter};
   ctx.schedule_timer(policy.delay(p.attempts - 1, timeout_value(), ctx.rng()), id);
   const KvOp op = p.op;
   const NodeId key = p.key;
@@ -140,7 +144,7 @@ void WorkloadService::retry_request(Context& ctx, std::uint64_t id, Pending& p) 
     spans->on_retry(id);
   }
   KvRequestMessage req(id, op, key, value_bytes, ctx.engine().descriptor_of(ctx.self()),
-                       static_cast<std::uint8_t>(params_.max_hops), 0, false);
+                       static_cast<std::uint8_t>(kMaxHops), 0, false);
   if (hop == ctx.self()) {
     serve_as_root(ctx, req);  // erases the pending record via finish()
     return;
@@ -167,7 +171,7 @@ void WorkloadService::on_hedge_timer(Context& ctx, std::uint64_t id) {
   log_->on_hedge_sent();
   auto msg = std::make_unique<KvRequestMessage>(
       id, KvOp::Get, p.key, p.value_bytes, ctx.engine().descriptor_of(ctx.self()),
-      static_cast<std::uint8_t>(params_.max_hops - 1), 1, false);
+      static_cast<std::uint8_t>(kMaxHops - 1), 1, false);
   msg->hedge = true;
   msg->span = id;
   ctx.send(hop, std::move(msg));
@@ -185,7 +189,7 @@ void WorkloadService::on_message(Context& ctx, Address from, const Payload& payl
     pending_.erase(it);
     // Karn's rule: only unambiguous answers — no retransmission, no hedge
     // copy in flight — feed the estimator.
-    if (params_.adaptive_timeout && !pending.retried && !pending.hedge_sent &&
+    if (params_.retry && !pending.retried && !pending.hedge_sent &&
         ctx.now() >= pending.issued_at) {
       rtt_.on_sample(ctx.now() - pending.issued_at);
       log_->on_rtt_sample();
@@ -263,7 +267,7 @@ void WorkloadService::replicate_put(Context& ctx, const KvRequestMessage& req) {
   if (!bp.active()) return;
   std::size_t placed = 0;
   for (const NodeDescriptor& d : bp.leaf_set().sorted_by_ring_distance()) {
-    if (placed == params_.replicas) break;
+    if (placed == kReplicas) break;
     if (!usable_entry(ctx.engine(), d)) continue;
     auto copy = std::make_unique<KvRequestMessage>(req);
     copy->replicate = true;
@@ -375,7 +379,7 @@ void WorkloadService::send_delegation(Context& ctx, std::uint64_t cast_id,
   rec.attempts = attempts;
   rec.tried = std::move(tried);
   delegations_.emplace(token, std::move(rec));
-  ctx.schedule_timer(params_.cast_ack_timeout, token);
+  ctx.schedule_timer(kCastAckTimeout, token);
 }
 
 void WorkloadService::on_delegation_timeout(Context& ctx, std::uint64_t token) {

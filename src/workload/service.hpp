@@ -42,62 +42,38 @@ inline constexpr std::uint64_t kCastIdBit = 1ull << 38;
 inline constexpr std::uint64_t kHedgeTimerBit = 1ull << 37;
 inline constexpr std::uint64_t kDelegTimerBit = 1ull << 36;
 
-/// Tunables of the workload service (shared by every node).
+/// Tunables of the workload service (shared by every node); everything else
+/// is a constant of service.cpp. All off by default: a disabled service is
+/// bit-identical to the pre-retry one (see docs/workloads.md).
 struct WorkloadParams {
-  /// Replica copies a put places on the root's closest alive leaf-set
-  /// neighbours (the root's own copy not counted).
-  std::size_t replicas = 2;
-  /// Ticks after which an unanswered request times out at the origin (the
-  /// fixed fallback; adaptive_timeout replaces it with the RTT estimate).
-  SimTime timeout = 2 * kDelta;
-  /// Forwarding budget per request; exhausting it drops the request
-  /// (misrouted loops surface as timeouts, not infinite traffic).
-  int max_hops = 64;
-
-  // --- retry / hedging extension (all off by default: a disabled build is
-  // --- bit-identical to the pre-retry service; see docs/workloads.md) -----
-
   /// Retransmit an unanswered request from the origin — re-routed over the
   /// live tables, exponential backoff, per-node-RNG jitter — before the
   /// final timeout. The request id (and its causal span) stays the same.
+  /// Also replaces the fixed 2Δ timeout with a per-node Jacobson/Karn
+  /// estimate (srtt + 4 * rttvar clamped to [64, 2Δ]); Karn's rule:
+  /// retried or hedged requests contribute no sample.
   bool retry = false;
   /// Retransmissions allowed per request. Must be positive with retry on.
   int retry_budget = 3;
+  /// Delay multiplier per consecutive retransmission.
   double retry_backoff = 2.0;
-  double retry_jitter = 0.1;
-  /// Replace the fixed timeout with a per-node Jacobson/Karn estimate
-  /// (srtt + 4 * rttvar clamped to [rtt_min_timeout, rtt_max_timeout]).
-  /// Karn's rule: retried or hedged requests contribute no sample.
-  bool adaptive_timeout = false;
-  SimTime rtt_min_timeout = 64;
-  SimTime rtt_max_timeout = 4 * kDelta;
   /// Hedged gets: when > 0 and the get is still unanswered this many ticks
   /// after issue, a second copy goes out over an alternate first hop, and
   /// any node holding the key (a leaf-set replica) may answer it directly.
   SimTime hedge_delay = 0;
   /// Per-cell cast re-delegation budget: when > 0 every delegated cell
-  /// entry must ack, and a silent entry is re-delegated to an alternate
-  /// entry of the same cell up to this many times. 0 disables the
-  /// handshake entirely (no ack traffic).
+  /// entry must ack within Δ/2, and a silent entry is re-delegated to an
+  /// alternate entry of the same cell up to this many times. 0 disables
+  /// the handshake entirely (no ack traffic).
   int cast_retries = 0;
-  /// Ack timeout of the re-delegation handshake.
-  SimTime cast_ack_timeout = kDelta / 2;
 
-  /// Returns "" when coherent, else the first problem (zero/negative retry
-  /// budgets with the feature on, inverted timeout bounds).
+  /// Returns "" when coherent, else the first problem.
   std::string validate() const {
     if (retry && retry_budget <= 0) {
       return "retry_budget must be positive when retry is set (got " +
              std::to_string(retry_budget) + ")";
     }
     if (cast_retries < 0) return "cast_retries must be >= 0";
-    if (cast_retries > 0 && cast_ack_timeout == 0) {
-      return "cast_ack_timeout must be positive when cast_retries is set";
-    }
-    if (adaptive_timeout && (rtt_min_timeout == 0 || rtt_min_timeout > rtt_max_timeout)) {
-      return "adaptive timeout bounds must satisfy 0 < rtt_min_timeout <= rtt_max_timeout";
-    }
-    if (timeout == 0) return "timeout must be positive";
     return "";
   }
 };
@@ -161,7 +137,7 @@ class WorkloadService final : public Protocol {
   Address route_step_excluding(Context& ctx, NodeId key, Address exclude) const;
 
   /// The origin-side timeout for the next (re)transmission: the adaptive
-  /// estimate when enabled, else the fixed params timeout.
+  /// estimate with retry on, else the fixed 2Δ.
   SimTime timeout_value() const;
   /// Retransmits request `id` (budget already checked): re-routes, resends
   /// under the same id/span, schedules the next backed-off timeout.

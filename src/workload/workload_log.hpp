@@ -82,6 +82,7 @@ class WorkloadLog {
   /// "hedge.win", "retry.cast", "rtt.samples"). Separate from
   /// bind_registry so a run with the features off keeps the registry —
   /// and every golden metric dump — byte-identical to the pre-retry tree.
+  /// WorkloadStack::bind_registry decides which of the two to call.
   void bind_retry_registry(obs::MetricsRegistry& registry);
 
   void on_issue(KvOp op);

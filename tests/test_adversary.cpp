@@ -44,10 +44,9 @@ ExperimentConfig small_config(std::uint64_t seed, std::size_t cycles,
   cfg.seed = seed;
   cfg.max_cycles = cycles;
   cfg.stop_at_convergence = false;
-  cfg.bootstrap.evict_unresponsive = true;
+  cfg.bootstrap.liveness = LivenessPolicy::Evict;
   cfg.bootstrap.tombstone_ttl_cycles = 6;
   cfg.bootstrap.harden = hardened;
-  cfg.newscast.harden = hardened;
   return cfg;
 }
 

@@ -61,7 +61,7 @@ TEST(Experiment, ChurnRunStaysUsable) {
   cfg.churn_fail_rate = 0.005;
   cfg.churn_join_rate = 0.005;
   cfg.stop_at_convergence = false;
-  cfg.bootstrap.evict_unresponsive = true;
+  cfg.bootstrap.liveness = LivenessPolicy::Evict;
   BootstrapExperiment exp(cfg);
   const auto result = exp.run();
   ASSERT_EQ(result.series.rows(), 40u);

@@ -353,7 +353,7 @@ ExperimentConfig hostile_config(std::uint64_t seed) {
   cfg.seed = seed;
   cfg.max_cycles = 12;
   cfg.stop_at_convergence = false;
-  cfg.bootstrap.evict_unresponsive = true;
+  cfg.bootstrap.liveness = LivenessPolicy::Evict;
   cfg.bootstrap.tombstone_ttl_cycles = 4;
   const SimTime epoch = cfg.warmup_cycles * cfg.bootstrap.delta;
   const SimTime delta = cfg.bootstrap.delta;
@@ -401,7 +401,7 @@ TEST(ExchangeTimeout, FiresOnRealNonAnswersAndDemotes) {
   cfg.seed = 5;
   cfg.max_cycles = 10;
   cfg.stop_at_convergence = false;
-  cfg.bootstrap.evict_unresponsive = true;
+  cfg.bootstrap.liveness = LivenessPolicy::Evict;
   const SimTime epoch = cfg.warmup_cycles * cfg.bootstrap.delta;
   cfg.fault_plan.crashes.push_back(
       {{epoch + 2 * cfg.bootstrap.delta, epoch + 7 * cfg.bootstrap.delta}, kNullAddress, 0.5});
@@ -414,8 +414,8 @@ TEST(ExchangeTimeout, FiresOnRealNonAnswersAndDemotes) {
 }
 
 TEST(ExchangeTimeout, SilentWithoutEviction) {
-  // The timeout machinery is part of the evict_unresponsive extension: with
-  // it off, no timeout timers are scheduled even under heavy faults (the
+  // The timeout machinery belongs to the liveness policies: with liveness
+  // Off, no timeout timers are scheduled even under heavy faults (the
   // golden-replay witnesses depend on this).
   ExperimentConfig cfg;
   cfg.n = 64;
@@ -440,7 +440,7 @@ TEST(FaultInteraction, EvictedCrashRecoverNodeIsReadmittedAfterProbe) {
   cfg.seed = 7;
   cfg.max_cycles = 24;
   cfg.stop_at_convergence = false;
-  cfg.bootstrap.evict_unresponsive = true;
+  cfg.bootstrap.liveness = LivenessPolicy::Evict;
   cfg.bootstrap.tombstone_ttl_cycles = 3;
   const SimTime delta = cfg.bootstrap.delta;
   const SimTime epoch = cfg.warmup_cycles * delta;
@@ -468,47 +468,54 @@ TEST(FaultInteraction, EvictedCrashRecoverNodeIsReadmittedAfterProbe) {
   EXPECT_LT(result.final_metrics.missing_leaf_fraction(), 0.01);
 }
 
-/// Runs a converged network through a 4-cycle latency spike that delays
-/// every answer past the exchange/probe timeouts, at the given suspicion
-/// threshold; returns the number of condemnations.
-std::uint64_t condemned_under_spike(int suspicion_threshold, double* missing_leaf) {
+/// Runs a converged network through a 6-cycle latency spike that delays
+/// every answer by `spike_cycles` Δ, under the given liveness policy;
+/// returns the number of condemnations.
+std::uint64_t condemned_under_spike(LivenessPolicy liveness, SimTime spike_cycles,
+                                    double* missing_leaf) {
   ExperimentConfig cfg;
   cfg.n = 64;
   cfg.seed = 7;
   cfg.max_cycles = 24;
   cfg.stop_at_convergence = false;
-  cfg.bootstrap.evict_unresponsive = true;
+  cfg.bootstrap.liveness = liveness;
   cfg.bootstrap.tombstone_ttl_cycles = 3;
-  cfg.bootstrap.suspicion_threshold = suspicion_threshold;
   const SimTime delta = cfg.bootstrap.delta;
   const SimTime epoch = cfg.warmup_cycles * delta;
   LatencySpec spike;
   spike.window = {epoch + 4 * delta, epoch + 10 * delta};
   spike.mode = LatencySpec::Mode::Spike;
-  // Answers arrive four cycles late: slower than kProbeAttempts silent
-  // probe rounds, so one-shot eviction fires before any echo lands.
-  spike.add = 4 * delta;
+  spike.add = spike_cycles * delta;
   cfg.fault_plan.latency.push_back(spike);
   BootstrapExperiment exp(cfg);
   const auto result = exp.run();
-  if (missing_leaf != nullptr) {
-    *missing_leaf = result.final_metrics.missing_leaf_fraction();
-  }
+  *missing_leaf = result.final_metrics.missing_leaf_fraction();
   return exp.engine().metrics().counter("bootstrap.condemned").value();
 }
 
-TEST(Suspicion, AccrualKeepsSlowButAlivePeersThatOneShotEvicts) {
-  // Every peer is slow but alive during the spike: one-shot eviction
-  // (threshold 0) condemns after kProbeAttempts silent rounds, while
-  // suspicion accrual lets the late answers decay the level back down —
-  // nobody is condemned and the overlay never degrades.
-  double missing_oneshot = 0.0, missing_accrual = 0.0;
-  const std::uint64_t oneshot = condemned_under_spike(0, &missing_oneshot);
-  const std::uint64_t accrual = condemned_under_spike(24, &missing_accrual);
-  EXPECT_GT(oneshot, 0u);   // the spike is harsh enough to trip one-shot
-  EXPECT_EQ(accrual, 0u);   // ...but accrual absorbs it
-  EXPECT_LT(missing_accrual, 0.01);
-  EXPECT_LE(missing_accrual, missing_oneshot);
+TEST(Suspicion, AdaptiveCondemnsNoMoreThanEvictUnderLatencySpikes) {
+  // Every peer is slow but alive during the spike. Up to 2Δ late, answers
+  // land before either policy gives up, so nobody is condemned. From 3Δ on
+  // both policies condemn live peers: Evict after kProbeAttempts silent
+  // probe rounds, Adaptive once suspicion reaches its threshold of 3 —
+  // accrual only trims the count (147 vs 153 at 3Δ, 305 vs 320 at 4Δ for
+  // this seed). Either way the overlay heals once the spike ends.
+  for (const SimTime depth : {SimTime{1}, SimTime{2}, SimTime{3}, SimTime{4}}) {
+    double missing_evict = 1.0, missing_adaptive = 1.0;
+    const std::uint64_t evict =
+        condemned_under_spike(LivenessPolicy::Evict, depth, &missing_evict);
+    const std::uint64_t adaptive =
+        condemned_under_spike(LivenessPolicy::Adaptive, depth, &missing_adaptive);
+    if (depth <= 2) {
+      EXPECT_EQ(evict, 0u) << "spike " << depth << " delta";
+      EXPECT_EQ(adaptive, 0u) << "spike " << depth << " delta";
+    } else {
+      EXPECT_GT(evict, 0u) << "spike " << depth << " delta";  // the spike trips eviction
+    }
+    EXPECT_LE(adaptive, evict) << "spike " << depth << " delta";
+    EXPECT_EQ(missing_evict, 0.0) << "spike " << depth << " delta";
+    EXPECT_EQ(missing_adaptive, 0.0) << "spike " << depth << " delta";
+  }
 }
 
 TEST(Suspicion, LevelsDecayOnAnswersAndAreObservable) {
@@ -519,8 +526,7 @@ TEST(Suspicion, LevelsDecayOnAnswersAndAreObservable) {
   cfg.seed = 7;
   cfg.max_cycles = 20;
   cfg.stop_at_convergence = false;
-  cfg.bootstrap.evict_unresponsive = true;
-  cfg.bootstrap.suspicion_threshold = 6;
+  cfg.bootstrap.liveness = LivenessPolicy::Adaptive;
   const SimTime delta = cfg.bootstrap.delta;
   const SimTime epoch = cfg.warmup_cycles * delta;
   LatencySpec spike;
@@ -534,46 +540,6 @@ TEST(Suspicion, LevelsDecayOnAnswersAndAreObservable) {
   EXPECT_GT(m.counter("suspect.marked").value(), 0u);
   EXPECT_GT(m.counter("suspect.decayed").value(), 0u);
   EXPECT_EQ(m.counter("suspect.evicted").value(), 0u);
-}
-
-TEST(BootstrapConfigDeathTest, RejectsTimeoutBelowTransportLatency) {
-  // The transport's min one-way latency is 10: a 5-tick exchange timeout
-  // would fire before any answer can arrive. Setup must refuse it.
-  ExperimentConfig cfg;
-  cfg.n = 8;
-  cfg.bootstrap.evict_unresponsive = true;
-  cfg.bootstrap.exchange_timeout = 5;
-  EXPECT_EXIT({ BootstrapExperiment exp(cfg); }, ::testing::ExitedWithCode(2),
-              "min_latency");
-}
-
-TEST(BootstrapConfigDeathTest, RejectsZeroRetryBudget) {
-  ExperimentConfig cfg;
-  cfg.n = 8;
-  cfg.bootstrap.evict_unresponsive = true;
-  cfg.bootstrap.retry_exchanges = true;
-  cfg.bootstrap.exchange_retry_budget = 0;
-  EXPECT_EXIT({ BootstrapExperiment exp(cfg); }, ::testing::ExitedWithCode(2),
-              "exchange_retry_budget");
-}
-
-TEST(BootstrapConfigDeathTest, RejectsRetryWithoutEviction) {
-  ExperimentConfig cfg;
-  cfg.n = 8;
-  cfg.bootstrap.retry_exchanges = true;
-  EXPECT_EXIT({ BootstrapExperiment exp(cfg); }, ::testing::ExitedWithCode(2),
-              "evict_unresponsive");
-}
-
-TEST(BootstrapConfigDeathTest, RejectsInvertedAdaptiveBounds) {
-  ExperimentConfig cfg;
-  cfg.n = 8;
-  cfg.bootstrap.evict_unresponsive = true;
-  cfg.bootstrap.adaptive_timeout = true;
-  cfg.bootstrap.rtt_min_timeout = 4 * kDelta;
-  cfg.bootstrap.rtt_max_timeout = kDelta;
-  EXPECT_EXIT({ BootstrapExperiment exp(cfg); }, ::testing::ExitedWithCode(2),
-              "adaptive timeout bounds");
 }
 
 // --- scenario config -------------------------------------------------------

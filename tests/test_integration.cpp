@@ -24,7 +24,7 @@ TEST(Integration, WireTranscoderPlusDropPlusChurn) {
   cfg.churn_fail_rate = 0.002;
   cfg.churn_join_rate = 0.002;
   cfg.stop_at_convergence = false;
-  cfg.bootstrap.evict_unresponsive = true;
+  cfg.bootstrap.liveness = LivenessPolicy::Evict;
   BootstrapExperiment exp(cfg);
   exp.engine().set_transcoder(wire_roundtrip_transcoder());
   const auto result = exp.run();

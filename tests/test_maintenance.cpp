@@ -1,4 +1,4 @@
-// Tests for the liveness-maintenance extension (evict_unresponsive):
+// Tests for the liveness-maintenance extension (LivenessPolicy::Evict):
 // probe/evict, death certificates, restart-based recovery, and massive-join
 // absorption.
 #include <gtest/gtest.h>
@@ -20,7 +20,7 @@ ExperimentConfig base(std::size_t n, std::uint64_t seed) {
 
 TEST(Maintenance, EvictionClearsDeadLeafEntries) {
   auto cfg = base(512, 1);
-  cfg.bootstrap.evict_unresponsive = true;
+  cfg.bootstrap.liveness = LivenessPolicy::Evict;
   BootstrapExperiment exp(cfg);
   const auto initial = exp.run();
   ASSERT_GE(initial.converged_cycle, 0);
@@ -82,7 +82,7 @@ TEST(Maintenance, TombstonesTravelOnTheWire) {
 
 TEST(Maintenance, RestartRecoversFromCatastrophe) {
   auto cfg = base(512, 3);
-  cfg.bootstrap.evict_unresponsive = true;
+  cfg.bootstrap.liveness = LivenessPolicy::Evict;
   cfg.bootstrap.tombstone_ttl_cycles = 60;
   cfg.stop_at_convergence = false;
   cfg.max_cycles = 20;
@@ -130,7 +130,7 @@ TEST(Maintenance, FalseTombstonesExpire) {
   // With heavy loss, live peers get condemned occasionally; after the TTL
   // they may return, and meanwhile the network keeps working.
   auto cfg = base(256, 5);
-  cfg.bootstrap.evict_unresponsive = true;
+  cfg.bootstrap.liveness = LivenessPolicy::Evict;
   cfg.bootstrap.tombstone_ttl_cycles = 5;
   cfg.drop_probability = 0.2;
   cfg.stop_at_convergence = false;

@@ -377,7 +377,7 @@ TEST(Spans, EverySpanClosesExactlyOnceUnderFaults) {
   cfg.spans = true;
   cfg.max_cycles = 30;
   cfg.stop_at_convergence = false;
-  cfg.bootstrap.evict_unresponsive = true;
+  cfg.bootstrap.liveness = LivenessPolicy::Evict;
   const SimTime delta = cfg.bootstrap.delta;
   const SimTime epoch = cfg.warmup_cycles * delta;
   const SimTime end = epoch + cfg.max_cycles * delta;

@@ -91,7 +91,6 @@ TEST(RttEstimator, BackoffSaturatesAtMaxTimeout) {
 
 TEST(RetryPolicy, DelayGrowsExponentiallyWithoutJitter) {
   RetryPolicy p;
-  p.budget = 5;
   p.backoff = 2.0;
   p.jitter = 0.0;
   Rng rng(1);
@@ -103,7 +102,6 @@ TEST(RetryPolicy, DelayGrowsExponentiallyWithoutJitter) {
 
 TEST(RetryPolicy, JitterStaysWithinFractionAndIsDeterministic) {
   RetryPolicy p;
-  p.budget = 3;
   p.backoff = 2.0;
   p.jitter = 0.25;
   Rng a(42), b(42);
@@ -119,7 +117,6 @@ TEST(RetryPolicy, JitterStaysWithinFractionAndIsDeterministic) {
 
 TEST(RetryPolicy, NeverReturnsZeroDelay) {
   RetryPolicy p;
-  p.budget = 1;
   p.backoff = 2.0;
   p.jitter = 0.0;
   Rng rng(7);

@@ -18,10 +18,7 @@ struct WorkloadFixture {
     cfg.stop_at_convergence = false;
     cfg.node_extension = stack.node_extension();
     exp = std::make_unique<BootstrapExperiment>(cfg);
-    stack.log().bind_registry(exp->engine().metrics());
-    if (params.retry || params.hedge_delay > 0 || params.cast_retries > 0) {
-      stack.log().bind_retry_registry(exp->engine().metrics());
-    }
+    stack.bind_registry(exp->engine().metrics());
   }
 
   Engine& engine() { return exp->engine(); }
@@ -98,7 +95,8 @@ TEST(Workload, PutPlacesReplicasOnLeafSetNeighbours) {
   fix.issue(0, KvOp::Put, key);
   fix.quiesce();
 
-  // Root copy + `replicas` copies on its closest alive leaf-set neighbours.
+  // Root copy + two replica copies on its closest alive leaf-set neighbours.
+  constexpr std::size_t kReplicas = 2;
   const ConvergenceOracle oracle(fix.engine(), fix.exp->config().bootstrap,
                                  fix.exp->bootstrap_slot());
   const Address root = oracle.owner_of(key).addr;
@@ -106,7 +104,7 @@ TEST(Workload, PutPlacesReplicasOnLeafSetNeighbours) {
   for (Address a = 0; a < fix.engine().node_count(); ++a) {
     if (fix.stack.service(fix.engine(), a).has_key(key)) ++copies;
   }
-  EXPECT_EQ(copies, 1 + fix.stack.params().replicas);
+  EXPECT_EQ(copies, 1 + kReplicas);
   const auto& leaf =
       fix.exp->bootstrap_slot().of(fix.engine(), root).leaf_set();
   std::size_t on_leaf = 0;
@@ -115,7 +113,7 @@ TEST(Workload, PutPlacesReplicasOnLeafSetNeighbours) {
       ++on_leaf;
     }
   }
-  EXPECT_EQ(on_leaf, fix.stack.params().replicas);
+  EXPECT_EQ(on_leaf, kReplicas);
 }
 
 TEST(Workload, RequestBeforeBootstrapActivationIsUnroutable) {
@@ -131,7 +129,7 @@ TEST(Workload, RequestBeforeBootstrapActivationIsUnroutable) {
 
 TEST(Workload, RequestsAcrossPartitionCutTimeOut) {
   ExperimentConfig cfg = small_config();
-  cfg.bootstrap.evict_unresponsive = true;
+  cfg.bootstrap.liveness = LivenessPolicy::Evict;
   cfg.bootstrap.tombstone_ttl_cycles = 5;
   const SimTime delta = cfg.bootstrap.delta;
   const SimTime epoch = cfg.warmup_cycles * delta;
@@ -166,7 +164,7 @@ TEST(Workload, RequestsAcrossPartitionCutTimeOut) {
 TEST(Workload, BroadcastReachesEveryLiveNodeExactlyOnceAfterPartitionHeal) {
   ExperimentConfig cfg = small_config();
   cfg.max_cycles = 48;
-  cfg.bootstrap.evict_unresponsive = true;
+  cfg.bootstrap.liveness = LivenessPolicy::Evict;
   cfg.bootstrap.tombstone_ttl_cycles = 5;
   const SimTime delta = cfg.bootstrap.delta;
   const SimTime epoch = cfg.warmup_cycles * delta;
@@ -209,7 +207,7 @@ std::pair<WorkloadSummary, WorkloadDriver::CastCoverage> run_at_shards(std::size
   cfg.max_cycles = 20;
   cfg.churn_fail_rate = 0.02;
   cfg.churn_join_rate = 0.02;
-  cfg.bootstrap.evict_unresponsive = true;
+  cfg.bootstrap.liveness = LivenessPolicy::Evict;
   const SimTime delta = cfg.bootstrap.delta;
   const SimTime epoch = cfg.warmup_cycles * delta;
 
@@ -374,20 +372,15 @@ TEST(WorkloadRetry, CastRedelegationSurvivesForwardLoss) {
 }
 
 /// The churn scenario of run_at_shards with the whole robustness layer on
-/// (adaptive timeouts, retries, hedging, cast acks, bootstrap exchange
-/// retries + suspicion) plus loss and latency windows to exercise it.
+/// (adaptive timeouts, retries, hedging, cast acks, and the bootstrap's
+/// Adaptive liveness policy) plus loss and latency windows to exercise it.
 std::pair<WorkloadSummary, WorkloadDriver::CastCoverage> run_retry_at_shards(
     std::size_t k) {
   ExperimentConfig cfg = small_config(96, 13);
   cfg.shards = k;
   cfg.max_cycles = 22;
-  cfg.bootstrap.evict_unresponsive = true;
+  cfg.bootstrap.liveness = LivenessPolicy::Adaptive;
   cfg.bootstrap.tombstone_ttl_cycles = 5;
-  cfg.bootstrap.retry_exchanges = true;
-  cfg.bootstrap.exchange_retry_budget = 2;
-  cfg.bootstrap.adaptive_timeout = true;
-  cfg.bootstrap.rtt_max_timeout = 2 * kDelta;
-  cfg.bootstrap.suspicion_threshold = 3;
   const SimTime delta = cfg.bootstrap.delta;
   const SimTime epoch = cfg.warmup_cycles * delta;
   LinkLossSpec loss;
@@ -403,8 +396,6 @@ std::pair<WorkloadSummary, WorkloadDriver::CastCoverage> run_retry_at_shards(
   WorkloadParams wp;
   wp.retry = true;
   wp.retry_budget = 3;
-  wp.adaptive_timeout = true;
-  wp.rtt_max_timeout = 2 * kDelta;
   wp.hedge_delay = delta / 2;
   wp.cast_retries = 1;
   WorkloadFixture fix(cfg, wp);
@@ -468,18 +459,6 @@ TEST(WorkloadParamsDeathTest, StackRejectsIncoherentRetryConfigs) {
     WorkloadParams p;
     p.cast_retries = -1;
     EXPECT_EXIT(build(p), ::testing::ExitedWithCode(2), "cast_retries");
-  }
-  {
-    WorkloadParams p;
-    p.adaptive_timeout = true;
-    p.rtt_min_timeout = 5000;
-    p.rtt_max_timeout = 100;
-    EXPECT_EXIT(build(p), ::testing::ExitedWithCode(2), "rtt_min_timeout");
-  }
-  {
-    WorkloadParams p;
-    p.timeout = 0;
-    EXPECT_EXIT(build(p), ::testing::ExitedWithCode(2), "timeout");
   }
 }
 
