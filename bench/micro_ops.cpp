@@ -138,7 +138,8 @@ BENCHMARK(BM_UpdatePrefixTable)->Arg(60)->Arg(200);
 
 void BM_PrefixTableInsertSaturated(benchmark::State& state) {
   // Inserts into a saturated table: the common steady-state case where most
-  // inserts are rejected after the cell-range binary search.
+  // inserts are rejected after one binary search and a count of the cell's
+  // (at most k) neighbours.
   const auto pool = members(8192);
   PrefixTable table(pool[0].id, DigitConfig{4}, 3);
   DescriptorList all(pool.begin() + 1, pool.end());
@@ -149,25 +150,6 @@ void BM_PrefixTableInsertSaturated(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PrefixTableInsertSaturated);
-
-void BM_RingSortByDistance(benchmark::State& state) {
-  // The dominant kernel of CREATEMESSAGE: ordering the candidate union by
-  // directed distance around a pivot.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto pool = members(n + 1);
-  std::vector<NodeDescriptor> scratch(pool.begin() + 1, pool.end());
-  const NodeId pivot = pool[0].id;
-  for (auto _ : state) {
-    std::vector<NodeDescriptor> copy = scratch;
-    std::sort(copy.begin(), copy.end(), [pivot](const NodeDescriptor& a, const NodeDescriptor& b) {
-      return successor_distance(pivot, a.id) < successor_distance(pivot, b.id);
-    });
-    benchmark::DoNotOptimize(copy.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_RingSortByDistance)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_PerfectTablesBuild(benchmark::State& state) {
   // The oracle's trie walk over the sorted ID set (built once per membership
@@ -322,10 +304,9 @@ void BM_PayloadDeepCopyBaseline(benchmark::State& state) {
 BENCHMARK(BM_PayloadDeepCopyBaseline);
 
 void BM_CreateMessageSteadyState(benchmark::State& state) {
-  // CREATEMESSAGE on a converged node: one message allocation plus one
-  // reserve of its flat entry buffer. Before the flat-buffer refactor this
-  // path built ~6 intermediate vectors per call (union, ring copies, per-
-  // cell candidate lists, two message parts).
+  // CREATEMESSAGE on a converged node: sort the leaf set, samples and self
+  // by ID, merge them with the prefix table and cut both message parts off
+  // the merged run. Warm, the call allocates nothing (tests/test_alloc.cpp).
   ExperimentConfig cfg;
   cfg.n = 1 << 10;
   cfg.seed = 99;

@@ -1,6 +1,7 @@
 #include "core/bootstrap.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/assert.hpp"
 #include "common/logging.hpp"
@@ -26,9 +27,8 @@ constexpr int kSuspicionThreshold = 3;
 // threads — so one warm set per lane replaces hundreds of thousands of
 // per-node vectors without changing a single RNG draw.
 struct BootstrapScratch {
+  DescriptorList fresh_buf;  // CREATEMESSAGE: leaf set, samples and self
   DescriptorList union_buf;
-  DescriptorList succ_buf;
-  DescriptorList pred_buf;
   DescriptorList combined_buf;
   DescriptorList candidate_buf;  // select_peer's demotion filter
   std::vector<std::uint8_t> cell_fill_buf;
@@ -351,37 +351,64 @@ std::optional<NodeDescriptor> BootstrapProtocol::select_peer(Context& ctx) {
 std::unique_ptr<BootstrapMessage> BootstrapProtocol::create_message(NodeId peer_id,
                                                                     bool is_request) {
   // Union of all locally available information: leaf set, cr fresh samples,
-  // the prefix table, and the own descriptor.
-  DescriptorList& un = scratch().union_buf;
-  un.clear();
+  // the prefix table, and the own descriptor, deduplicated by ID. When one
+  // ID comes with two addresses the first occurrence in that order wins.
+  // Only the leaf set, the samples and self need sorting: the prefix table
+  // is an ID-sorted run already and is merged in.
+  DescriptorList& fresh = scratch().fresh_buf;
+  fresh.clear();
   {
     const auto& succ = leaf_->successors();
     const auto& pred = leaf_->predecessors();
-    un.insert(un.end(), succ.begin(), succ.end());
-    un.insert(un.end(), pred.begin(), pred.end());
+    fresh.insert(fresh.end(), succ.begin(), succ.end());
+    fresh.insert(fresh.end(), pred.begin(), pred.end());
   }
   if (config_.use_random_samples) {
     // Appends in place with the exact RNG draws sample() would make —
     // golden replays pin the equivalence.
-    sampler_->sample_into(config_.cr, un);
+    sampler_->sample_into(config_.cr, fresh);
   }
-  if (config_.prefix_entries_in_union) {
-    const auto& tbl = prefix_->entries();
-    un.insert(un.end(), tbl.begin(), tbl.end());
+  fresh.push_back(self_);
+  // Stable insertion sort (std::stable_sort would allocate). The table never
+  // holds the own ID, so self ranking before the table below is harmless.
+  for (std::size_t i = 1; i < fresh.size(); ++i) {
+    const NodeDescriptor d = fresh[i];
+    std::size_t j = i;
+    for (; j > 0 && fresh[j - 1].id > d.id; --j) fresh[j] = fresh[j - 1];
+    fresh[j] = d;
   }
-  un.push_back(self_);
-
-  // Dedupe by ID; drop the peer's own descriptor (useless to send back).
-  std::sort(un.begin(), un.end(),
-            [](const NodeDescriptor& a, const NodeDescriptor& b) { return a.id < b.id; });
+  const auto by_id = [](const NodeDescriptor& a, const NodeDescriptor& b) {
+    return a.id < b.id;
+  };
+  DescriptorList& un = scratch().union_buf;
+  un.clear();
+  const DescriptorView tbl =
+      config_.prefix_entries_in_union ? prefix_->entries() : DescriptorView{};
+  std::merge(fresh.begin(), fresh.end(), tbl.begin(), tbl.end(), std::back_inserter(un), by_id);
   un.erase(std::unique(un.begin(), un.end(),
                        [](const NodeDescriptor& a, const NodeDescriptor& b) {
                          return a.id == b.id;
                        }),
            un.end());
-  un.erase(std::remove_if(un.begin(), un.end(),
-                          [peer_id](const NodeDescriptor& d) { return d.id == peer_id; }),
-           un.end());
+
+  // Drop the peer's own descriptor (useless to send back) and rotate the
+  // union into the peer's ring order: its successors by increasing distance
+  // from the front, up to and including the antipode (is_successor sends
+  // that tie to the successors), and its predecessors by increasing
+  // distance from the back.
+  auto above = std::lower_bound(un.begin(), un.end(), NodeDescriptor{peer_id, kNullAddress},
+                                by_id);
+  if (above != un.end() && above->id == peer_id) above = un.erase(above);
+  std::rotate(un.begin(), above, un.end());
+  const std::size_t n = un.size();
+  const std::size_t succ_n = static_cast<std::size_t>(
+      std::partition_point(un.begin(), un.end(),
+                           [peer_id](const NodeDescriptor& d) {
+                             return is_successor(peer_id, d.id);
+                           }) -
+      un.begin());
+  const std::size_t pred_n = n - succ_n;
+  const auto pred_at = [&un, n](std::size_t i) { return un[n - 1 - i]; };
 
   // Ring part: the c entries closest to the peer in the leaf-set sense —
   // c/2 closest successors and c/2 closest predecessors of the peer, with
@@ -389,41 +416,27 @@ std::unique_ptr<BootstrapMessage> BootstrapProtocol::create_message(NodeId peer_
   // would starve the outermost directional entries wherever the ID
   // distribution is locally lopsided, and the last few leaf entries would
   // never converge.
-  DescriptorList& succ = scratch().succ_buf;
-  DescriptorList& pred = scratch().pred_buf;
-  succ.clear();
-  pred.clear();
-  for (const auto& d : un) (is_successor(peer_id, d.id) ? succ : pred).push_back(d);
-  std::sort(succ.begin(), succ.end(),
-            [peer_id](const NodeDescriptor& a, const NodeDescriptor& b) {
-              return successor_distance(peer_id, a.id) < successor_distance(peer_id, b.id);
-            });
-  std::sort(pred.begin(), pred.end(),
-            [peer_id](const NodeDescriptor& a, const NodeDescriptor& b) {
-              return predecessor_distance(peer_id, a.id) < predecessor_distance(peer_id, b.id);
-            });
   const std::size_t half = config_.c / 2;
-  std::size_t take_s = std::min(succ.size(), half);
-  std::size_t take_p = std::min(pred.size(), half);
+  std::size_t take_s = std::min(succ_n, half);
+  std::size_t take_p = std::min(pred_n, half);
   std::size_t spare = config_.c - take_s - take_p;
-  const std::size_t extra_s = std::min(succ.size() - take_s, spare);
+  const std::size_t extra_s = std::min(succ_n - take_s, spare);
   take_s += extra_s;
   spare -= extra_s;
-  take_p += std::min(pred.size() - take_p, spare);
+  take_p += std::min(pred_n - take_p, spare);
 
-  // Build the flat message: one buffer, one reserve (succ + pred bounds
-  // both the ring part and every prefix candidate), ring entries first.
+  // Build the flat message: one buffer, one reserve (the union bounds both
+  // the ring part and every prefix candidate), ring entries first.
   auto msg = std::make_unique<BootstrapMessage>(self_, is_request);
-  msg->reserve_entries(succ.size() + pred.size());
-  for (std::size_t i = 0; i < take_s; ++i) msg->append_ring_entry(succ[i]);
-  for (std::size_t i = 0; i < take_p; ++i) msg->append_ring_entry(pred[i]);
+  msg->reserve_entries(n);
+  for (std::size_t i = 0; i < take_s; ++i) msg->append_ring_entry(un[i]);
+  for (std::size_t i = 0; i < take_p; ++i) msg->append_ring_entry(pred_at(i));
 
   // Prefix part: everything else that is potentially useful for the peer's
   // prefix table — shares at least one digit of prefix with the peer — with
   // at most k entries per (i, j) cell, so the part is bounded by the size of
-  // a full prefix table. The leftovers are consumed straight from the
-  // directional scratch buffers (succ leftovers first, matching the
-  // pre-refactor candidate order).
+  // a full prefix table. Leftover successors go first, then leftover
+  // predecessors, each by increasing distance from the peer.
   if (config_.send_prefix_part) {
     const int rows = config_.digits.num_digits<NodeId>();
     const int radix = config_.digits.radix();
@@ -442,8 +455,8 @@ std::unique_ptr<BootstrapMessage> BootstrapProtocol::create_message(NodeId peer_
       ++fill;
       msg->append_prefix_entry(d);
     };
-    for (std::size_t i = take_s; i < succ.size(); ++i) consider(succ[i]);
-    for (std::size_t i = take_p; i < pred.size(); ++i) consider(pred[i]);
+    for (std::size_t i = take_s; i < succ_n; ++i) consider(un[i]);
+    for (std::size_t i = take_p; i < pred_n; ++i) consider(pred_at(i));
   }
   if (evicts() && !tombstones_.empty()) {
     for (const auto& [id, expiry] : tombstones_) {

@@ -216,8 +216,9 @@ class BootstrapProtocol final : public Protocol {
   /// One iteration of the active thread.
   void active_step(Context& ctx);
 
-  /// SELECTPEER: random element of the first half of the leaf set sorted by
-  /// ring distance from the own ID.
+  /// SELECTPEER: random element of the near half of the leaf set, taken per
+  /// direction (the closer half of the successors plus the closer half of
+  /// the predecessors).
   std::optional<NodeDescriptor> select_peer(Context& ctx);
 
   /// UPDATELEAFSET + UPDATEPREFIXTABLE over one received message. `from` is

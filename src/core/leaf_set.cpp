@@ -1,24 +1,43 @@
 #include "core/leaf_set.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/assert.hpp"
 
 namespace bsvc {
 
 namespace {
-// UPDATELEAFSET staging buffers. Thread-local so the steady-state rebuild
-// allocates nothing once warm; safe because the sharded engine's worker
-// lanes are persistent threads and update() never re-enters itself.
-struct RebuildScratch {
-  std::vector<NodeDescriptor> candidates;
+// UPDATELEAFSET staging: each direction's closest candidates. Thread-local so
+// the steady-state update allocates nothing once warm; safe because the
+// sharded engine's worker lanes are persistent threads and update() never
+// re-enters itself.
+struct UpdateScratch {
   std::vector<NodeDescriptor> succ;
   std::vector<NodeDescriptor> pred;
 };
 
-RebuildScratch& scratch() {
-  thread_local RebuildScratch s;
+UpdateScratch& scratch() {
+  thread_local UpdateScratch s;
   return s;
+}
+
+// Offers `d` to `side`, which keeps at most `cap` candidates sorted by
+// `dist` (distance from the own ID in the side's direction). A full side
+// rejects anything no closer than its worst entry with one comparison. Equal
+// distance means equal ID, so a repeated ID is dropped: the first occurrence
+// wins.
+template <typename Dist>
+void offer(std::vector<NodeDescriptor>& side, std::size_t cap, const NodeDescriptor& d,
+           Dist dist) {
+  const NodeId key = dist(d.id);
+  if (side.size() == cap && key >= dist(side.back().id)) return;
+  const auto pos = std::upper_bound(
+      side.begin(), side.end(), key,
+      [&dist](NodeId k, const NodeDescriptor& e) { return k < dist(e.id); });
+  if (pos != side.begin() && std::prev(pos)->id == d.id) return;
+  side.insert(pos, d);
+  if (side.size() > cap) side.pop_back();
 }
 }  // namespace
 
@@ -98,60 +117,26 @@ LeafSet& LeafSet::operator=(LeafSet&& other) noexcept {
 }
 
 void LeafSet::update(std::span<const NodeDescriptor> incoming) {
-  // Merge current content and the parameter set, then rebuild both sides.
-  auto& candidates = scratch().candidates;
-  candidates.clear();
-  const NodeId* id = ids();
-  const Address* addr = addrs();
-  for (std::size_t i = 0; i < size(); ++i) candidates.push_back({id[i], addr[i]});
-  for (const auto& d : incoming) {
-    if (d.id == own_ || d.addr == kNullAddress) continue;
-    candidates.push_back(d);
-  }
-  rebuild(candidates);
-}
-
-bool LeafSet::remove(NodeId id) {
-  NodeId* ids_p = ids();
-  Address* addrs_p = addrs();
-  const std::size_t n = size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (ids_p[i] != id) continue;
-    std::copy(ids_p + i + 1, ids_p + n, ids_p + i);
-    std::copy(addrs_p + i + 1, addrs_p + n, addrs_p + i);
-    if (i < succ_count_) {
-      --succ_count_;
-    } else {
-      --pred_count_;
-    }
-    return true;
-  }
-  return false;
-}
-
-void LeafSet::rebuild(std::vector<NodeDescriptor>& candidates) {
-  // Dedupe by ID. Sorting by ID first makes the dedupe deterministic.
-  std::sort(candidates.begin(), candidates.end(),
-            [](const NodeDescriptor& a, const NodeDescriptor& b) { return a.id < b.id; });
-  candidates.erase(std::unique(candidates.begin(), candidates.end(),
-                               [](const NodeDescriptor& a, const NodeDescriptor& b) {
-                                 return a.id == b.id;
-                               }),
-                   candidates.end());
-
+  // Merge the current content with the parameter set, keeping per direction
+  // only the c closest candidates (no side can take more, even after the
+  // top-up below). The current entries seed both sides already sorted and
+  // go first, so duplicate IDs resolve to the current entry, then to the
+  // earliest in `incoming`.
   auto& succ = scratch().succ;
   auto& pred = scratch().pred;
-  succ.clear();
-  pred.clear();
-  for (const auto& d : candidates) {
-    (is_successor(own_, d.id) ? succ : pred).push_back(d);
+  const DescriptorView cur_succ = successors();
+  const DescriptorView cur_pred = predecessors();
+  succ.assign(cur_succ.begin(), cur_succ.end());
+  pred.assign(cur_pred.begin(), cur_pred.end());
+  const NodeId own = own_;
+  for (const auto& d : incoming) {
+    if (d.id == own || d.addr == kNullAddress) continue;
+    if (is_successor(own, d.id)) {
+      offer(succ, capacity_, d, [own](NodeId id) { return successor_distance(own, id); });
+    } else {
+      offer(pred, capacity_, d, [own](NodeId id) { return predecessor_distance(own, id); });
+    }
   }
-  std::sort(succ.begin(), succ.end(), [this](const NodeDescriptor& a, const NodeDescriptor& b) {
-    return successor_distance(own_, a.id) < successor_distance(own_, b.id);
-  });
-  std::sort(pred.begin(), pred.end(), [this](const NodeDescriptor& a, const NodeDescriptor& b) {
-    return predecessor_distance(own_, a.id) < predecessor_distance(own_, b.id);
-  });
 
   // Keep c/2 closest per direction; spare capacity from a short side tops up
   // the other ("filled with the closest elements in the other direction").
@@ -178,6 +163,24 @@ void LeafSet::rebuild(std::vector<NodeDescriptor>& candidates) {
   pred_count_ = static_cast<std::uint32_t>(take_p);
 }
 
+bool LeafSet::remove(NodeId id) {
+  NodeId* ids_p = ids();
+  Address* addrs_p = addrs();
+  const std::size_t n = size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (ids_p[i] != id) continue;
+    std::copy(ids_p + i + 1, ids_p + n, ids_p + i);
+    std::copy(addrs_p + i + 1, addrs_p + n, addrs_p + i);
+    if (i < succ_count_) {
+      --succ_count_;
+    } else {
+      --pred_count_;
+    }
+    return true;
+  }
+  return false;
+}
+
 DescriptorList LeafSet::all() const {
   DescriptorList out;
   out.reserve(size());
@@ -187,10 +190,17 @@ DescriptorList LeafSet::all() const {
 }
 
 DescriptorList LeafSet::sorted_by_ring_distance() const {
-  DescriptorList out = all();
-  std::sort(out.begin(), out.end(), [this](const NodeDescriptor& a, const NodeDescriptor& b) {
-    return closer_on_ring(own_, a.id, b.id);
-  });
+  // Each lane is already sorted by its own direction's distance, which for
+  // its entries is the ring distance, so merging the lanes by
+  // closer_on_ring gives the order of a full sort.
+  DescriptorList out;
+  out.reserve(size());
+  const DescriptorView succ = successors();
+  const DescriptorView pred = predecessors();
+  std::merge(succ.begin(), succ.end(), pred.begin(), pred.end(), std::back_inserter(out),
+             [this](const NodeDescriptor& a, const NodeDescriptor& b) {
+               return closer_on_ring(own_, a.id, b.id);
+             });
   return out;
 }
 

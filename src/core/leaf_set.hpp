@@ -4,11 +4,13 @@
 // current content, classify every ID as successor or predecessor of the own
 // ID on the ring of all possible IDs, and keep the c/2 closest in each
 // direction — topping up from the other direction when one side runs short
-// (only relevant when fewer than c other nodes are known to exist).
+// (only relevant when fewer than c other nodes are known to exist). When
+// one ID arrives under two addresses, the first occurrence wins: a current
+// entry, else the earliest in the incoming list.
 //
 // Storage is struct-of-arrays in a DescriptorArena block (successors first,
 // then predecessors): the hot ring-distance scans stream the contiguous
-// NodeId lane, and a steady-state UPDATELEAFSET rebuild allocates nothing —
+// NodeId lane, and a steady-state UPDATELEAFSET allocates nothing —
 // candidates stage through thread-local scratch and the result is written
 // back into the fixed-capacity block. Accessors hand out DescriptorView
 // (values materialized on read); views are invalidated by any mutation.
@@ -61,8 +63,8 @@ class LeafSet {
   /// All entries (successors then predecessors; no duplicates).
   DescriptorList all() const;
 
-  /// Entries sorted by shortest ring distance from the own ID — the order
-  /// SELECTPEER draws from.
+  /// Entries sorted by shortest ring distance from the own ID, a successor
+  /// before a predecessor at the same distance (closer_on_ring).
   DescriptorList sorted_by_ring_distance() const;
 
   bool contains(NodeId id) const;
@@ -72,7 +74,6 @@ class LeafSet {
   NodeId own_id() const { return own_; }
 
  private:
-  void rebuild(std::vector<NodeDescriptor>& candidates);
   void copy_from(const LeafSet& other);
 
   const NodeId* ids() const { return arena_->ids(block_); }

@@ -101,15 +101,37 @@ void PrefixTable::ensure_capacity(std::uint32_t need) {
 }
 
 bool PrefixTable::insert(const NodeDescriptor& d) {
+  std::size_t hint = 0;
+  return insert_near(d, hint);
+}
+
+std::size_t PrefixTable::insert_all(const DescriptorList& ds) {
+  // A message arrives as a few ID-monotone runs (each part's successors
+  // ascending, then its predecessors descending), so every search starts
+  // from where the previous descriptor's search ended.
+  std::size_t added = 0;
+  std::size_t hint = 0;
+  for (const auto& d : ds) {
+    if (insert_near(d, hint)) ++added;
+  }
+  return added;
+}
+
+bool PrefixTable::insert_near(const NodeDescriptor& d, std::size_t& hint) {
   if (d.id == own_ || d.addr == kNullAddress) return false;
-  const Cell c = cell_of(d.id);
-  const auto [first, last] = cell_range(c.row, c.col);
-  if (last - first >= static_cast<std::size_t>(k_)) return false;
-  // Position within the (sorted) cell range; also detects duplicates.
+  const std::size_t pos = lower_bound_from(hint, d.id);
+  hint = pos;
   const NodeId* ids_p = ids();
-  const std::size_t pos = static_cast<std::size_t>(
-      std::lower_bound(ids_p + first, ids_p + last, d.id) - ids_p);
-  if (pos != last && ids_p[pos] == d.id) return false;
+  if (pos != size_ && ids_p[pos] == d.id) return false;
+  // The cell is the ID interval [lo, top] around pos and holds at most k
+  // entries, so counting them walks at most k steps from pos.
+  const Cell c = cell_of(d.id);
+  const NodeId lo = prefix_range_lo(own_, c.row, c.col, digits_);
+  const NodeId top = prefix_range_hi(own_, c.row, c.col, digits_) - 1;  // hi is 0 at the top
+  std::size_t in_cell = 0;
+  for (std::size_t i = pos; i > 0 && ids_p[i - 1] >= lo; --i) ++in_cell;
+  for (std::size_t i = pos; i < size_ && ids_p[i] <= top; ++i) ++in_cell;
+  if (in_cell >= static_cast<std::size_t>(k_)) return false;
   ensure_capacity(size_ + 1);
   NodeId* mut_ids = ids();
   Address* mut_addrs = addrs();
@@ -121,12 +143,30 @@ bool PrefixTable::insert(const NodeDescriptor& d) {
   return true;
 }
 
-std::size_t PrefixTable::insert_all(const DescriptorList& ds) {
-  std::size_t added = 0;
-  for (const auto& d : ds) {
-    if (insert(d)) ++added;
+std::size_t PrefixTable::lower_bound_from(std::size_t hint, NodeId id) const {
+  // Galloping search: probes 1, 2, 4, ... entries away from the hint bracket
+  // the answer, then a binary search finishes inside the bracket.
+  const NodeId* ids_p = ids();
+  const std::size_t size = size_;
+  std::size_t lo = 0;
+  std::size_t hi = std::min(hint, size);
+  if (hi < size && ids_p[hi] < id) {  // the answer lies above the hint
+    for (std::size_t step = 1;; step *= 2) {
+      lo = hi + 1;
+      hi = std::min(lo + step - 1, size);
+      if (hi == size || ids_p[hi] >= id) break;
+    }
+  } else {  // the answer is at or below the hint
+    for (std::size_t step = 1; hi > 0; step *= 2) {
+      const std::size_t probe = hi > step ? hi - step : 0;
+      if (ids_p[probe] < id) {
+        lo = probe + 1;
+        break;
+      }
+      hi = probe;
+    }
   }
-  return added;
+  return static_cast<std::size_t>(std::lower_bound(ids_p + lo, ids_p + hi, id) - ids_p);
 }
 
 bool PrefixTable::remove(NodeId id) {

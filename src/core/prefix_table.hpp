@@ -6,14 +6,15 @@
 // half-open interval [prefix_range_lo, prefix_range_hi): the first i digits
 // equal the own ID's, digit i equals j (≠ own digit i). Those intervals are
 // disjoint, so storing all entries in one ID-sorted run keeps every cell
-// contiguous; cell lookups are two binary searches and memory stays compact.
+// contiguous and memory compact. An insert is one search for its position;
+// the cell's (at most k) entries are its neighbours there.
 //
-// Storage is struct-of-arrays in a DescriptorArena block: the binary
-// searches walk a dense NodeId lane (8 bytes/element, no interleaved
-// addresses), and in steady state an insert is a memmove within the block —
-// growth doubles the block at the arena tip without touching the allocator
-// once the slabs are warm. entries() hands out a DescriptorView; views are
-// invalidated by any mutation.
+// Storage is struct-of-arrays in a DescriptorArena block: the searches walk
+// a dense NodeId lane (8 bytes/element, no interleaved addresses), and in
+// steady state an insert is a memmove within the block — growth doubles the
+// block at the arena tip without touching the allocator once the slabs are
+// warm. entries() hands out a DescriptorView; views are invalidated by any
+// mutation.
 #pragma once
 
 #include <cstddef>
@@ -55,7 +56,9 @@ class PrefixTable {
   /// the table changed. Own-ID and null-address descriptors are ignored.
   bool insert(const NodeDescriptor& d);
 
-  /// Bulk UPDATEPREFIXTABLE. Returns the number of entries added.
+  /// Bulk UPDATEPREFIXTABLE, in list order. Returns the number of entries
+  /// added. Each search starts where the previous one ended, so runs of
+  /// ascending or descending IDs are cheap.
   std::size_t insert_all(const DescriptorList& ds);
 
   /// Removes an entry by ID (dead-peer cleanup). Returns whether present.
@@ -82,6 +85,11 @@ class PrefixTable {
   int rows() const { return rows_; }
 
  private:
+  /// insert() with the search for d's position starting at `hint`, which
+  /// is left at that position.
+  bool insert_near(const NodeDescriptor& d, std::size_t& hint);
+  /// Index of the first entry >= id, searched outward from `hint`.
+  std::size_t lower_bound_from(std::size_t hint, NodeId id) const;
   /// [first, last) index range of a cell in the sorted run.
   std::pair<std::size_t, std::size_t> cell_range(int row, int col) const;
   void ensure_capacity(std::uint32_t need);

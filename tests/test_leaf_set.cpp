@@ -115,16 +115,30 @@ TEST(LeafSet, RemoveEntry) {
 }
 
 TEST(LeafSet, SortedByRingDistanceOrder) {
-  LeafSet ls(1000, 8);
-  std::vector<NodeDescriptor> in{d(1010), d(990), d(1001), d(995)};
-  ls.update(in);
-  const auto sorted = ls.sorted_by_ring_distance();
-  ASSERT_EQ(sorted.size(), 4u);
-  for (std::size_t i = 1; i < sorted.size(); ++i) {
-    EXPECT_LE(ring_distance<NodeId>(1000, sorted[i - 1].id),
-              ring_distance<NodeId>(1000, sorted[i].id));
+  // Successors and predecessors at equal distances (and the antipode, a
+  // successor): the merged lanes must equal a full sort by closer_on_ring,
+  // which puts the successor first on a tie.
+  for (const NodeId own : {NodeId{1000}, NodeId{3}, ~NodeId{0} - 3}) {
+    LeafSet ls(own, 11);
+    std::vector<NodeDescriptor> in;
+    for (const NodeId off : {1u, 4u, 9u, 30u}) {
+      in.push_back(d(own + off));
+      in.push_back(d(own - off));
+    }
+    in.push_back(d(own - 2));
+    in.push_back(d(own + (NodeId{1} << 63)));
+    ls.update(in);
+    ASSERT_EQ(ls.size(), 10u);
+    auto expected = ls.all();
+    std::sort(expected.begin(), expected.end(),
+              [own](const NodeDescriptor& a, const NodeDescriptor& b) {
+                return closer_on_ring(own, a.id, b.id);
+              });
+    const auto sorted = ls.sorted_by_ring_distance();
+    EXPECT_EQ(sorted, expected) << "own " << own;
+    EXPECT_EQ(sorted[0].id, own + 1);
+    EXPECT_EQ(sorted[1].id, own - 1);
   }
-  EXPECT_EQ(sorted[0].id, 1001u);
 }
 
 TEST(LeafSet, WrapAroundNeighbours) {
