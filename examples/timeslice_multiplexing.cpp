@@ -4,25 +4,18 @@
 // when they are done").
 //
 // The pool's only persistent layer is Newscast. Each time slice:
-//   1. the administrator floods a START signal via gossip broadcast;
-//   2. nodes estimate the pool size with gossip aggregation (to know how
-//      many cycles suffice for convergence);
-//   3. the bootstrapping service builds a fresh DHT (the per-tenant
+//   1. the bootstrapping service builds a fresh DHT (the per-tenant
 //      parameters differ per slice!);
-//   4. the tenant application routes lookups over its private overlay;
-//   5. the slice ends and the overlay is simply abandoned — the next tenant
+//   2. the tenant application routes lookups over its private overlay;
+//   3. the slice ends and the overlay is simply abandoned — the next tenant
 //      re-bootstraps from the liquid pool.
 //
 //   $ ./timeslice_multiplexing [--n 2048] [--seed 1]
-#include <cmath>
 #include <cstdio>
 
 #include "common/flags.hpp"
 #include "core/experiment.hpp"
-#include "gossip/aggregation.hpp"
-#include "gossip/broadcast.hpp"
 #include "overlay/pastry_router.hpp"
-#include "sampling/oracle_sampler.hpp"
 
 using namespace bsvc;
 
@@ -63,38 +56,6 @@ int main(int argc, char** argv) {
 
   std::printf("A pool of %zu nodes; only the sampling service persists between tenants.\n\n",
               n);
-
-  // --- Step 1+2 on the persistent layer: broadcast START, estimate size ---
-  {
-    Engine engine(seed);
-    for (std::size_t i = 0; i < n; ++i) {
-      const Address a = engine.add_node(static_cast<NodeId>(i * 2654435761u + 3));
-      auto sampler = std::make_unique<OracleSamplerProtocol>(engine, a);
-      auto* sp = sampler.get();
-      engine.attach(a, std::move(sampler));
-      engine.attach(a, std::make_unique<BroadcastProtocol>(BroadcastConfig{}, sp));
-      engine.attach(a, std::make_unique<AggregationProtocol>(AggregationConfig{}, sp,
-                                                             a == 0 ? 1.0 : 0.0));
-      engine.start_node(a);
-    }
-    engine.schedule_call(0, [](Engine& e) {
-      Context ctx(e, 0, 1);
-      dynamic_cast<BroadcastProtocol&>(e.protocol(0, 1)).seed(ctx, /*tag=*/1);
-    });
-    engine.run_until(30 * kDelta);
-    SimTime last_infection = 0;
-    for (Address a = 0; a < n; ++a) {
-      const auto& b = dynamic_cast<const BroadcastProtocol&>(engine.protocol(a, 1));
-      if (b.infected()) last_infection = std::max(last_infection, b.infected_at());
-    }
-    const auto& agg = dynamic_cast<const AggregationProtocol&>(engine.protocol(5, 2));
-    std::printf("START signal reached all nodes within %.1f cycles via gossip broadcast.\n",
-                static_cast<double>(last_infection) / static_cast<double>(kDelta));
-    std::printf("Gossip aggregation estimates pool size ~%.0f (true %zu) -> run "
-                "~%.0f cycles per slice.\n\n",
-                agg.size_estimate(), n,
-                2.0 * std::log2(agg.size_estimate()) + 5.0);
-  }
 
   // --- Tenants with different overlay needs, one per time slice -----------
   std::printf("Time slice 1: tenant 'index' wants a Pastry-style overlay (b=4).\n");

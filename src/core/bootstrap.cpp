@@ -5,7 +5,7 @@
 
 #include "common/assert.hpp"
 #include "common/logging.hpp"
-#include "net/codec.hpp"
+#include "id/descriptor.hpp"
 
 namespace bsvc {
 

@@ -22,10 +22,15 @@ struct NodeDescriptor {
   friend bool operator==(const NodeDescriptor&, const NodeDescriptor&) = default;
 };
 
-/// Estimated wire size of one descriptor (id + IPv4 + port), in bytes.
-/// Used by the transport's byte accounting; the exact binary codec in
-/// src/net encodes descriptors at this size.
+/// Wire size of one descriptor (id + IPv4 + port), in bytes. Used by the
+/// transport's byte accounting; the binary codec in src/wire encodes
+/// descriptors at this size.
 inline constexpr std::size_t kDescriptorWireBytes = 14;
+
+/// Wire size of a descriptor list (2-byte count + 14 bytes each).
+constexpr std::size_t descriptor_list_wire_bytes(std::size_t entries) {
+  return 2 + entries * kDescriptorWireBytes;
+}
 
 /// A set of descriptors as carried by one protocol message.
 using DescriptorList = std::vector<NodeDescriptor>;

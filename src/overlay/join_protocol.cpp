@@ -4,8 +4,8 @@
 #include <unordered_set>
 
 #include "common/assert.hpp"
+#include "id/descriptor.hpp"
 #include "id/id_generator.hpp"
-#include "net/codec.hpp"
 #include "overlay/pastry_router.hpp"
 
 namespace bsvc {

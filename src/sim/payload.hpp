@@ -15,8 +15,9 @@ namespace bsvc {
 inline constexpr std::size_t kUdpIpHeaderBytes = 28;
 
 /// Closed set of payload families on the simulated wire. One tag per
-/// concrete message class (mirroring net::MessageType for the seven wire
-/// types); `Custom` covers test doubles and experiment-local payloads.
+/// concrete message class (the first four have a wire format, see
+/// wire/message_codec.hpp); `Custom` covers test doubles and
+/// experiment-local payloads.
 /// payload_cast<T> dispatches on this tag — a load and a compare — instead
 /// of a dynamic_cast, which keeps RTTI off the per-delivery hot path.
 enum class PayloadKind : std::uint8_t {
@@ -24,9 +25,6 @@ enum class PayloadKind : std::uint8_t {
   Probe,
   Newscast,
   Chord,
-  TMan,
-  Rumor,
-  Aggregation,
   KvRequest,
   KvResponse,
   PrefixCast,
@@ -62,7 +60,7 @@ class Payload {
 
   /// Serialized size of the payload body in bytes, excluding UDP/IP headers.
   /// Drives the engine's traffic accounting; implementations must agree with
-  /// the binary codec in src/net for message types that have one.
+  /// the binary codec in src/wire for message types that have one.
   virtual std::size_t wire_bytes() const = 0;
 
   /// Static type tag for logging and debugging.

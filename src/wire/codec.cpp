@@ -1,4 +1,4 @@
-#include "net/codec.hpp"
+#include "wire/codec.hpp"
 
 #include "common/assert.hpp"
 
@@ -76,10 +76,6 @@ std::optional<DescriptorList> ByteReader::descriptor_list() {
     list.push_back(*d);
   }
   return list;
-}
-
-std::size_t descriptor_list_wire_bytes(std::size_t entries) {
-  return 2 + entries * kDescriptorWireBytes;
 }
 
 }  // namespace bsvc

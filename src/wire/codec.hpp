@@ -1,9 +1,10 @@
-// Compact binary wire format.
+// Byte-level primitives of the compact binary wire format.
 //
-// The paper stresses that its protocols run over "small UDP messages"; this
-// codec defines the exact datagram layout a deployment would use, and the
-// simulator's byte accounting (Payload::wire_bytes) is kept consistent with
-// it by construction (tests assert the equivalence). Integers are encoded
+// The paper stresses that its protocols run over "small UDP messages"; these
+// primitives define the exact datagram layout a deployment would use, and
+// message_codec builds every message from them. The simulator's byte
+// accounting (Payload::wire_bytes) is kept consistent with it by
+// construction (tests assert the equivalence). Integers are encoded
 // little-endian, fixed width; descriptor lists carry a u16 count.
 #pragma once
 
@@ -69,8 +70,5 @@ class ByteReader {
   std::size_t size_;
   std::size_t pos_ = 0;
 };
-
-/// Wire size of a descriptor list (2-byte count + 14 bytes each).
-std::size_t descriptor_list_wire_bytes(std::size_t entries);
 
 }  // namespace bsvc

@@ -1,30 +1,13 @@
 #include "wire/message_codec.hpp"
 
-#include <cstring>
-
 #include "core/bootstrap.hpp"
-#include "gossip/aggregation.hpp"
-#include "gossip/broadcast.hpp"
-#include "net/codec.hpp"
 #include "overlay/chord.hpp"
-#include "overlay/tman.hpp"
 #include "sampling/newscast.hpp"
+#include "wire/codec.hpp"
 
 namespace bsvc {
 
 namespace {
-
-std::uint64_t double_to_bits(double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-double bits_to_double(std::uint64_t bits) {
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
 
 void put_timestamped(ByteWriter& w, const std::vector<TimestampedDescriptor>& entries) {
   w.u16(static_cast<std::uint16_t>(entries.size()));
@@ -88,27 +71,6 @@ std::optional<std::vector<std::uint8_t>> encode_message(const Payload& payload) 
       w.descriptor_list(m->finger_part);
       break;
     }
-    case PayloadKind::TMan: {
-      const auto* m = static_cast<const TManMessage*>(&payload);
-      w.u8(static_cast<std::uint8_t>(MessageType::TMan));
-      w.descriptor(m->sender);
-      w.u8(m->is_request ? 1 : 0);
-      w.descriptor_list(m->entries);
-      break;
-    }
-    case PayloadKind::Rumor: {
-      const auto* m = static_cast<const RumorMessage*>(&payload);
-      w.u8(static_cast<std::uint8_t>(MessageType::Rumor));
-      w.u64(m->tag);
-      break;
-    }
-    case PayloadKind::Aggregation: {
-      const auto* m = static_cast<const AggregationMessage*>(&payload);
-      w.u8(static_cast<std::uint8_t>(MessageType::Aggregation));
-      w.u64(double_to_bits(m->value));
-      w.u8(m->is_request ? 1 : 0);
-      break;
-    }
     case PayloadKind::Probe: {
       const auto* m = static_cast<const ProbeMessage*>(&payload);
       w.u8(static_cast<std::uint8_t>(MessageType::Probe));
@@ -167,24 +129,6 @@ std::unique_ptr<Payload> decode_message(const std::vector<std::uint8_t>& bytes) 
       if (!sender || !flag || !ring || !fingers || *flag > 1 || !r.exhausted()) return nullptr;
       return std::make_unique<ChordMessage>(*sender, std::move(*ring), std::move(*fingers),
                                             *flag == 1);
-    }
-    case MessageType::TMan: {
-      const auto sender = r.descriptor();
-      const auto flag = r.u8();
-      auto entries = r.descriptor_list();
-      if (!sender || !flag || !entries || *flag > 1 || !r.exhausted()) return nullptr;
-      return std::make_unique<TManMessage>(*sender, std::move(*entries), *flag == 1);
-    }
-    case MessageType::Rumor: {
-      const auto tag_value = r.u64();
-      if (!tag_value || !r.exhausted()) return nullptr;
-      return std::make_unique<RumorMessage>(*tag_value);
-    }
-    case MessageType::Aggregation: {
-      const auto bits = r.u64();
-      const auto flag = r.u8();
-      if (!bits || !flag || *flag > 1 || !r.exhausted()) return nullptr;
-      return std::make_unique<AggregationMessage>(bits_to_double(*bits), *flag == 1);
     }
     case MessageType::Probe: {
       const auto flag = r.u8();

@@ -1,7 +1,7 @@
 // Binary wire format for every protocol message in the system.
 //
 // Each datagram is a 1-byte message-type tag followed by the type's body,
-// built from the primitives in net/codec. decode() is strict (the whole
+// built from the primitives in wire/codec. decode() is strict (the whole
 // datagram must be consumed, all length prefixes honoured) and total (any
 // byte string returns either a valid message or nullptr — never crashes),
 // which the fuzz tests exercise.
@@ -24,14 +24,13 @@
 
 namespace bsvc {
 
-/// Wire tags. Values are part of the format; do not renumber.
+/// Wire tags. Values are part of the format; do not renumber. Tags 4–6
+/// (T-Man, rumor, aggregation) are retired and must never be reused: a
+/// frame carrying one decodes to nullptr.
 enum class MessageType : std::uint8_t {
   Bootstrap = 1,
   Newscast = 2,
   Chord = 3,
-  TMan = 4,
-  Rumor = 5,
-  Aggregation = 6,
   Probe = 7,
 };
 

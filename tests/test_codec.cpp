@@ -1,4 +1,4 @@
-#include "net/codec.hpp"
+#include "wire/codec.hpp"
 
 #include <gtest/gtest.h>
 

@@ -13,7 +13,6 @@
 #include "bench/bench_common.hpp"
 #include "core/experiment.hpp"
 #include "fault/fault_plan.hpp"
-#include "fault/scenario_config.hpp"
 #include "sim/engine.hpp"
 
 namespace bsvc {
@@ -540,34 +539,6 @@ TEST(Suspicion, LevelsDecayOnAnswersAndAreObservable) {
   EXPECT_GT(m.counter("suspect.marked").value(), 0u);
   EXPECT_GT(m.counter("suspect.decayed").value(), 0u);
   EXPECT_EQ(m.counter("suspect.evicted").value(), 0u);
-}
-
-// --- scenario config -------------------------------------------------------
-
-TEST(ScenarioConfigTest, ResolvePrefersFileAndReportsErrors) {
-  ScenarioConfig sc;
-  sc.faults.link_loss.push_back({{0, 10}, kNullAddress, kNullAddress, 0.5});
-  std::string error;
-  auto inline_plan = resolve_fault_plan(sc, error);
-  ASSERT_TRUE(inline_plan.has_value()) << error;
-  EXPECT_EQ(inline_plan->link_loss.size(), 1u);
-
-  sc.faults_path = ::testing::TempDir() + "/plan.txt";
-  {
-    std::FILE* f = std::fopen(sc.faults_path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("seed 3\ndup 0..100 p=0.5\n", f);
-    std::fclose(f);
-  }
-  auto file_plan = resolve_fault_plan(sc, error);
-  ASSERT_TRUE(file_plan.has_value()) << error;
-  EXPECT_EQ(file_plan->seed, 3u);      // the file wins over the inline plan
-  EXPECT_TRUE(file_plan->link_loss.empty());
-  EXPECT_EQ(file_plan->duplicates.size(), 1u);
-
-  sc.faults_path = ::testing::TempDir() + "/does_not_exist.txt";
-  EXPECT_FALSE(resolve_fault_plan(sc, error).has_value());
-  EXPECT_NE(error.find("cannot open"), std::string::npos);
 }
 
 // --- TransportConfig validation -------------------------------------------

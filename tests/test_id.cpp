@@ -70,7 +70,9 @@ TEST(Ring, CloserOnRingIsStrictWeakOrdering) {
   for (const NodeId a : ids) {
     EXPECT_FALSE(closer_on_ring(pivot, a, a));
     for (const NodeId b : ids) {
-      if (closer_on_ring(pivot, a, b)) EXPECT_FALSE(closer_on_ring(pivot, b, a));
+      if (closer_on_ring(pivot, a, b)) {
+        EXPECT_FALSE(closer_on_ring(pivot, b, a));
+      }
     }
   }
   // Sorting with it must not crash and must be by nondecreasing distance.
@@ -156,7 +158,9 @@ TEST_P(DigitsParam, PrefixRangeContainsExactlyMatchingIds) {
     EXPECT_TRUE(in_cell(lo));
     EXPECT_TRUE(in_cell(hi - 1));  // last id of the range (hi may wrap to 0)
     EXPECT_FALSE(in_cell(lo - 1));
-    if (hi != 0) EXPECT_FALSE(in_cell(hi));
+    if (hi != 0) {
+      EXPECT_FALSE(in_cell(hi));
+    }
     // A random id inside the range belongs to the cell.
     const NodeId span = hi - lo;  // correct even when hi wrapped to 0
     const NodeId y = lo + rng.below(span == 0 ? 1 : span);

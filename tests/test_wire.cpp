@@ -6,12 +6,10 @@
 
 #include "core/bootstrap.hpp"
 #include "core/experiment.hpp"
-#include "gossip/aggregation.hpp"
-#include "gossip/broadcast.hpp"
 #include "overlay/chord.hpp"
-#include "overlay/tman.hpp"
 #include "sampling/newscast.hpp"
 #include "tests/test_util.hpp"
+#include "wire/codec.hpp"
 
 namespace bsvc {
 namespace {
@@ -60,19 +58,6 @@ TEST(Wire, ChordRoundtrip) {
   EXPECT_EQ(back->finger_part, msg.finger_part);
 }
 
-TEST(Wire, TManRumorAggregationRoundtrip) {
-  const TManMessage tman({5, 1}, test::random_descriptors(15, 6), false);
-  const auto tman_back = roundtrip(tman);
-  EXPECT_EQ(tman_back->entries, tman.entries);
-
-  const RumorMessage rumor(0xDEADBEEFCAFEF00Dull);
-  EXPECT_EQ(roundtrip(rumor)->tag, rumor.tag);
-
-  const AggregationMessage agg(-0.12345678901234567, true);
-  EXPECT_EQ(roundtrip(agg)->value, agg.value);  // bit-exact
-  EXPECT_TRUE(roundtrip(agg)->is_request);
-}
-
 TEST(Wire, ProbeRoundtrip) {
   const ProbeMessage request(/*is_reply=*/false);
   EXPECT_FALSE(roundtrip(request)->is_reply);
@@ -84,33 +69,67 @@ TEST(Wire, ProbeRoundtrip) {
   EXPECT_EQ(back->responder_id, reply.responder_id);
 }
 
+// One exemplar of every message type with a wire format (the four live tags,
+// in tag order).
+std::vector<std::unique_ptr<Payload>> wire_exemplars() {
+  std::vector<std::unique_ptr<Payload>> out;
+  {
+    auto b = std::make_unique<BootstrapMessage>(NodeDescriptor{1, 1},
+                                                test::random_descriptors(6, 21),
+                                                test::random_descriptors(4, 22), true);
+    b->tombstones.push_back({0x123456789ABCDEFull, 42});
+    b->tombstones.push_back({7, 99});
+    out.push_back(std::move(b));
+  }
+  {
+    std::vector<TimestampedDescriptor> entries;
+    for (const auto& d : test::random_descriptors(5, 23)) entries.push_back({d, 777});
+    out.push_back(std::make_unique<NewscastMessage>(entries, false));
+  }
+  out.push_back(std::make_unique<ChordMessage>(NodeDescriptor{2, 2},
+                                               test::random_descriptors(5, 24),
+                                               test::random_descriptors(3, 25), false));
+  out.push_back(std::make_unique<ProbeMessage>(true, 0xABCDull));
+  return out;
+}
+
 TEST(Wire, EncodedSizeMatchesDeclaredWireBytes) {
   // The engine's byte accounting must equal the real encoding (minus the
   // 1-byte type tag, which the accounting folds into header overhead).
-  const BootstrapMessage b({1, 1}, test::random_descriptors(20, 7),
-                           test::random_descriptors(40, 8), true);
-  EXPECT_EQ(encode_message(b)->size() - 1, b.wire_bytes());
+  for (const auto& msg : wire_exemplars()) {
+    const auto bytes = encode_message(*msg);
+    ASSERT_TRUE(bytes.has_value()) << msg->type_name();
+    EXPECT_EQ(bytes->size() - 1, msg->wire_bytes()) << msg->type_name();
+  }
+}
 
-  std::vector<TimestampedDescriptor> entries;
-  for (const auto& d : test::random_descriptors(31, 9)) entries.push_back({d, 7});
-  const NewscastMessage nc(entries, true);
-  EXPECT_EQ(encode_message(nc)->size() - 1, nc.wire_bytes());
+TEST(Wire, RetiredTagsAreRejected) {
+  // The live tags are part of the format: renumbering one fails here.
+  const std::vector<std::uint8_t> live_tags = {1, 2, 3, 7};
+  const auto exemplars = wire_exemplars();
+  ASSERT_EQ(exemplars.size(), live_tags.size());
+  for (std::size_t i = 0; i < exemplars.size(); ++i) {
+    EXPECT_EQ(encode_message(*exemplars[i])->front(), live_tags[i])
+        << exemplars[i]->type_name();
+  }
 
-  const ChordMessage ch({1, 1}, test::random_descriptors(20, 10),
-                        test::random_descriptors(9, 11), false);
-  EXPECT_EQ(encode_message(ch)->size() - 1, ch.wire_bytes());
-
-  const TManMessage tm({1, 1}, test::random_descriptors(20, 12), false);
-  EXPECT_EQ(encode_message(tm)->size() - 1, tm.wire_bytes());
-
-  const RumorMessage ru(1);
-  EXPECT_EQ(encode_message(ru)->size() - 1, ru.wire_bytes());
-
-  const AggregationMessage ag(2.5, false);
-  EXPECT_EQ(encode_message(ag)->size() - 1, ag.wire_bytes());
-
-  const ProbeMessage pr(true, 42);
-  EXPECT_EQ(encode_message(pr)->size() - 1, pr.wire_bytes());
+  // Tags 4-6 (T-Man, rumor, aggregation) are retired: a well-formed frame
+  // carrying the former body must not decode.
+  ByteWriter tman;
+  tman.u8(4);
+  tman.descriptor({5, 1});
+  tman.u8(1);
+  tman.descriptor_list(test::random_descriptors(7, 26));
+  ByteWriter rumor;
+  rumor.u8(5);
+  rumor.u64(0xCAFEF00Dull);
+  ByteWriter aggregation;
+  aggregation.u8(6);
+  aggregation.u64(0x400A000000000000ull);  // 3.25 as IEEE-754 bits
+  aggregation.u8(1);
+  EXPECT_EQ(decode_message(tman.bytes()), nullptr);
+  EXPECT_EQ(decode_message(rumor.bytes()), nullptr);
+  EXPECT_EQ(decode_message(aggregation.bytes()), nullptr);
 }
 
 TEST(Wire, UnknownPayloadIsRejected) {
@@ -136,33 +155,6 @@ TEST(Wire, MalformedDatagramsNeverCrash) {
   auto padded = bytes;
   padded.push_back(0);
   EXPECT_EQ(decode_message(padded), nullptr);
-}
-
-// One exemplar of every message type with a wire format (all 7 tags).
-std::vector<std::unique_ptr<Payload>> wire_exemplars() {
-  std::vector<std::unique_ptr<Payload>> out;
-  {
-    auto b = std::make_unique<BootstrapMessage>(NodeDescriptor{1, 1},
-                                                test::random_descriptors(6, 21),
-                                                test::random_descriptors(4, 22), true);
-    b->tombstones.push_back({0x123456789ABCDEFull, 42});
-    b->tombstones.push_back({7, 99});
-    out.push_back(std::move(b));
-  }
-  {
-    std::vector<TimestampedDescriptor> entries;
-    for (const auto& d : test::random_descriptors(5, 23)) entries.push_back({d, 777});
-    out.push_back(std::make_unique<NewscastMessage>(entries, false));
-  }
-  out.push_back(std::make_unique<ChordMessage>(NodeDescriptor{2, 2},
-                                               test::random_descriptors(5, 24),
-                                               test::random_descriptors(3, 25), false));
-  out.push_back(std::make_unique<TManMessage>(NodeDescriptor{3, 3},
-                                              test::random_descriptors(7, 26), true));
-  out.push_back(std::make_unique<RumorMessage>(0xCAFEF00Dull));
-  out.push_back(std::make_unique<AggregationMessage>(3.25, true));
-  out.push_back(std::make_unique<ProbeMessage>(true, 0xABCDull));
-  return out;
 }
 
 TEST(Wire, TruncationAtEveryOffsetAllTypes) {
@@ -249,6 +241,50 @@ TEST(Wire, RoundtripTranscoderPreservesConvergence) {
   EXPECT_EQ(wired_result.converged_cycle, plain_result.converged_cycle);
   EXPECT_EQ(wired_result.bootstrap_stats.requests_sent,
             plain_result.bootstrap_stats.requests_sent);
+}
+
+TEST(Wire, TranscoderLeavesLivenessTrajectoryUnchanged) {
+  // Under loss and churn the liveness policies put probes and death
+  // certificates on the wire; round-tripping every delivered payload
+  // through the codec must not move a single number of the run.
+  struct Variant {
+    const char* name;
+    LivenessPolicy liveness;
+    bool harden;
+  };
+  for (const Variant& v : {Variant{"evict", LivenessPolicy::Evict, false},
+                           Variant{"adaptive", LivenessPolicy::Adaptive, false},
+                           Variant{"adaptive+harden", LivenessPolicy::Adaptive, true}}) {
+    SCOPED_TRACE(v.name);
+    ExperimentConfig cfg;
+    cfg.n = 128;
+    cfg.seed = 21;
+    cfg.max_cycles = 30;
+    cfg.stop_at_convergence = false;
+    cfg.drop_probability = 0.2;
+    cfg.churn_fail_rate = 0.01;
+    cfg.churn_join_rate = 0.01;
+    cfg.bootstrap.liveness = v.liveness;
+    cfg.bootstrap.harden = v.harden;
+
+    BootstrapExperiment plain(cfg);
+    const auto a = plain.run();
+    BootstrapExperiment wired(cfg);
+    wired.engine().set_transcoder(wire_roundtrip_transcoder());
+    test::expect_same_result(a, wired.run(), "transcoded");
+
+    const auto count = [](BootstrapExperiment& exp, const char* name) {
+      return exp.engine().metrics().counter(name).value();
+    };
+    for (const char* name :
+         {"bootstrap.condemned", "bootstrap.exchange_timeout", "msg.delivered.probe.reply"}) {
+      EXPECT_EQ(count(plain, name), count(wired, name)) << name;
+    }
+    // The run must put liveness traffic on the wire: answered probes, and
+    // condemnations, whose death certificates ride on bootstrap messages.
+    EXPECT_GT(count(plain, "bootstrap.condemned"), 0u);
+    EXPECT_GT(count(plain, "msg.delivered.probe.reply"), 0u);
+  }
 }
 
 TEST(Wire, RoundtripTranscoderWorksWithNewscastStack) {
