@@ -10,6 +10,10 @@
 #              ubsan -> -fsanitize=undefined only; catches the same UB with
 #                       far less memory overhead, and runs where ASan cannot
 #                       (e.g. ptrace/ASLR-restricted CI runners)
+#              Both also build with -D_GLIBCXX_ASSERTIONS: every libstdc++
+#              container index is bounds-checked, which ASan misses inside
+#              a vector's spare capacity (the hash-slot and scratch indexing
+#              of the Newscast merge, for one).
 #              tsan  -> -fsanitize=thread; runs only the concurrency-heavy
 #                       tests (parallel utilities + the engine at K > 1).
 #                       TSan is incompatible with ASan/UBSan in one binary and
@@ -18,9 +22,10 @@ set -euo pipefail
 
 sanitizer="${2:-asan}"
 test_filter=""
+extra_flags=""
 case "${sanitizer}" in
-  asan)  san_flags="address,undefined" ;;
-  ubsan) san_flags="undefined" ;;
+  asan)  san_flags="address,undefined"; extra_flags="-D_GLIBCXX_ASSERTIONS" ;;
+  ubsan) san_flags="undefined"; extra_flags="-D_GLIBCXX_ASSERTIONS" ;;
   tsan)
     san_flags="thread"
     # Most tests run the engine at K = 1 and exercise no threads, and golden
@@ -44,7 +49,7 @@ jobs="$(nproc 2>/dev/null || echo 2)"
 
 cmake -B "${build_dir}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DCMAKE_CXX_FLAGS="-fsanitize=${san_flags} -fno-sanitize-recover=all -fno-omit-frame-pointer" \
+  -DCMAKE_CXX_FLAGS="-fsanitize=${san_flags} -fno-sanitize-recover=all -fno-omit-frame-pointer ${extra_flags}" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=${san_flags}"
 
 cmake --build "${build_dir}" -j "${jobs}"

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/stamped_map.hpp"
+
 namespace bsvc {
 
 std::uint64_t splitmix64(std::uint64_t& state) {
@@ -91,19 +93,32 @@ std::vector<std::uint32_t> Rng::distinct_indices(std::uint32_t n, std::uint32_t 
 void Rng::distinct_indices_into(std::uint32_t n, std::uint32_t universe,
                                 std::vector<std::uint32_t>& out) {
   BSVC_CHECK(n <= universe);
-  // Floyd's algorithm: O(n) draws, no O(universe) allocation.
+  // Floyd's algorithm: step j in [universe - n, universe) draws t in
+  // [0, j] and takes t, or j if t is already taken (j never is: every
+  // earlier take is below j). The membership test is O(1), so a call is
+  // O(n) with no O(universe) allocation: one word when the universe fits
+  // in 64 bits, else a set of the taken indices sized by n.
   out.clear();
   out.reserve(n);
-  for (std::uint32_t j = universe - n; j < universe; ++j) {
-    const auto t = static_cast<std::uint32_t>(below(j + 1));
-    bool seen = false;
-    for (std::uint32_t v : out) {
-      if (v == t) {
-        seen = true;
-        break;
-      }
+  if (universe <= 64) {
+    std::uint64_t taken = 0;
+    for (std::uint32_t j = universe - n; j < universe; ++j) {
+      auto t = static_cast<std::uint32_t>(below(j + 1));
+      if ((taken >> t) & 1) t = j;
+      taken |= std::uint64_t{1} << t;
+      out.push_back(t);
     }
-    out.push_back(seen ? j : t);
+    return;
+  }
+  StampedMap taken;
+  taken.reset(n);
+  for (std::uint32_t j = universe - n; j < universe; ++j) {
+    auto t = static_cast<std::uint32_t>(below(j + 1));
+    if (!taken.find_or_insert(t, 0).second) {
+      t = j;
+      taken.find_or_insert(t, 0);
+    }
+    out.push_back(t);
   }
 }
 

@@ -67,7 +67,7 @@ class Rng {
   }
 
   /// Draws `n` distinct indices from [0, universe) (n <= universe) using
-  /// Floyd's algorithm; order is unspecified but deterministic.
+  /// Floyd's algorithm in O(n); order is unspecified but deterministic.
   std::vector<std::uint32_t> distinct_indices(std::uint32_t n, std::uint32_t universe);
 
   /// As distinct_indices, but fills a caller-provided buffer (cleared
@@ -77,6 +77,9 @@ class Rng {
 
   /// Derives an independent child generator; the parent sequence advances.
   Rng split();
+
+  /// Same state, so the same sequence from here on.
+  friend bool operator==(const Rng&, const Rng&) = default;
 
  private:
   std::array<std::uint64_t, 4> s_;

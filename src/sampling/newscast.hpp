@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "common/pool.hpp"
 #include "sampling/peer_sampler.hpp"
@@ -76,10 +77,22 @@ struct NewscastConfig {
   /// Byzantine hardening: reject descriptors timestamped in the future
   /// (freshness forgery would otherwise make a poisoned entry win every
   /// dedupe for the rest of the run) and cap the entries accepted from one
-  /// message at view_size (flood cap). Off by default; with harden = false
-  /// the merge is byte-identical to the unhardened build.
+  /// message at view_size + 1, the sender's view plus its self entry (flood
+  /// cap). Off by default; with harden = false the merge is byte-identical
+  /// to the unhardened build.
   bool harden = false;
 };
+
+/// The Newscast merge: folds `incoming` into `view` and leaves `view` in
+/// view order (timestamp descending, address ascending), cut to
+/// `config.view_size`. Entries at `self` or kNullAddress are dropped. An
+/// incoming entry replaces the first `view` entry with its address, or an
+/// earlier incoming one, only if strictly fresher. With `config.harden`,
+/// future-stamped entries and entries past the flood cap are rejected;
+/// returns how many were.
+std::size_t newscast_merge(std::vector<TimestampedDescriptor>& view,
+                           std::span<const TimestampedDescriptor> incoming, Address self,
+                           SimTime now, const NewscastConfig& config);
 
 /// The Newscast protocol instance of one node. Also implements PeerSampler
 /// for co-located higher layers.
@@ -110,22 +123,19 @@ class NewscastProtocol final : public Protocol, public PeerSampler {
   const std::vector<TimestampedDescriptor>& view() const { return view_; }
 
  private:
-  /// Merges incoming entries into the view: dedupe by address keeping the
-  /// freshest, drop self, keep the `view_size` freshest overall. With
-  /// config_.harden, future-stamped and over-cap entries are rejected
-  /// (counted in "newscast.rejected").
-  void merge(const std::vector<TimestampedDescriptor>& incoming, SimTime now);
+  /// newscast_merge into the view; with config_.harden, rejections are
+  /// counted in "newscast.rejected".
+  void merge(std::span<const TimestampedDescriptor> incoming, SimTime now);
 
   /// Builds an exchange message carrying the view plus a fresh
   /// self-descriptor (one reserve for the whole body).
   std::unique_ptr<NewscastMessage> outgoing(Context& ctx, bool is_request) const;
 
   NewscastConfig config_;
+  // At most view_size entries, in view order after the first merge. Merge
+  // and sample scratch is thread-local in newscast.cpp, not per node.
   std::vector<TimestampedDescriptor> view_;
-  // Scratch reused across merges and samples (steady-state exchanges stay
-  // allocation-free; see tests/test_alloc.cpp).
-  std::vector<TimestampedDescriptor> merge_buf_;
-  std::vector<std::uint32_t> idx_buf_;
+  // Seeds until on_start, which frees them.
   DescriptorList pending_seeds_;
   NodeDescriptor self_{};
   bool started_ = false;

@@ -107,6 +107,64 @@ TEST_F(AllocationRegression, CreateMessageStaysWithinFixedBudget) {
                         << static_cast<double>(allocs) / kCalls << " per call";
 }
 
+TEST_F(AllocationRegression, NewscastExchangeAndSampleAreAllocationFree) {
+  Engine& engine = exp_->engine();
+  const auto slot = exp_->newscast_slot();
+  NewscastProtocol& requester = slot.of(engine, 0);
+  NewscastProtocol& responder = slot.of(engine, 1);
+  Context at_requester(engine, 0, slot);
+  Context at_responder(engine, 1, slot);
+  // Drop every send: the responder still builds its answer and hands it to
+  // the transport, but no delivery is queued for the engine to grow into.
+  engine.set_link_filter([](Address, Address) { return false; });
+
+  // Each message as its sender builds it: the view plus a fresh self
+  // entry. The request also carries an entry at an address far beyond the
+  // node count, which must not size any allocation.
+  const SimTime now = engine.now();
+  const auto build = [&](const NewscastProtocol& sender, Address self, bool is_request) {
+    std::vector<TimestampedDescriptor> entries = sender.view();
+    entries.push_back({engine.descriptor_of(self), now});
+    return NewscastMessage(std::move(entries), is_request);
+  };
+  NewscastMessage request = build(requester, 0, true);
+  request.entries.insert(request.entries.begin(), {{0x5EED, 0xFFFFFFFEu}, now});
+  const NewscastMessage answer = build(responder, 1, false);
+
+  // One exchange: the answer build and both merges.
+  const auto exchange = [&] {
+    responder.on_message(at_responder, 0, request);
+    requester.on_message(at_requester, 1, answer);
+  };
+  for (int i = 0; i < 3; ++i) exchange();  // warm the pools and scratch
+
+  constexpr int kCalls = 100;
+  const auto dropped_before = engine.traffic().messages_dropped;
+  std::uint64_t before = g_alloc_count.load();
+  for (int i = 0; i < kCalls; ++i) exchange();
+  const std::uint64_t exchange_allocs = g_alloc_count.load() - before;
+  EXPECT_EQ(engine.traffic().messages_dropped - dropped_before,
+            static_cast<std::uint64_t>(kCalls))
+      << "every request must be answered";
+  EXPECT_EQ(exchange_allocs, 0u) << "a Newscast exchange allocates "
+                                 << static_cast<double>(exchange_allocs) / kCalls << " times";
+
+  // CREATEMESSAGE's sample: 30 distinct entries of a full view.
+  ASSERT_EQ(requester.view().size(), 30u);
+  DescriptorList samples;
+  samples.reserve(30);
+  requester.sample_into(30, samples);
+  before = g_alloc_count.load();
+  for (int i = 0; i < kCalls; ++i) {
+    samples.clear();
+    requester.sample_into(30, samples);
+  }
+  const std::uint64_t sample_allocs = g_alloc_count.load() - before;
+  EXPECT_EQ(sample_allocs, 0u) << "sample_into(30) allocates "
+                               << static_cast<double>(sample_allocs) / kCalls << " times";
+  engine.clear_link_filter();
+}
+
 TEST_F(AllocationRegression, SteadyStateExchangesStayWithinPinnedBudget) {
   // The committed steady-state budget: at most 5 heap allocations per
   // bootstrap exchange (request or reply sent), measured across whole

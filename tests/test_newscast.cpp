@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "sampling/graph_metrics.hpp"
 #include "sim/scenario.hpp"
@@ -156,6 +158,167 @@ TEST(Newscast, TrafficIsOneExchangePerNodePerCycle) {
   // 256 nodes x 10 cycles x (request + answer) = 5120 messages; allow a bit
   // of slack for edge-of-window timers.
   EXPECT_NEAR(static_cast<double>(t.messages_sent), 5120.0, 300.0);
+}
+
+// --- The sort-free merge against the sort-based one -------------------------
+
+bool in_view_order(const TimestampedDescriptor& a, const TimestampedDescriptor& b) {
+  if (a.timestamp != b.timestamp) return a.timestamp > b.timestamp;
+  return a.descriptor.addr < b.descriptor.addr;
+}
+
+// The merge as it was before the sort-free kernel: a front-to-back search
+// per incoming entry over view + accepted entries, then a sort of the union.
+std::size_t reference_merge(std::vector<TimestampedDescriptor>& view,
+                            const std::vector<TimestampedDescriptor>& incoming, Address self,
+                            SimTime now, const NewscastConfig& config) {
+  std::vector<TimestampedDescriptor> merged = view;
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (const auto& entry : incoming) {
+    if (entry.descriptor.addr == self || entry.descriptor.addr == kNullAddress) continue;
+    if (config.harden) {
+      if (entry.timestamp > now || accepted >= config.view_size + 1) {
+        ++rejected;
+        continue;
+      }
+      ++accepted;
+    }
+    auto it = std::find_if(merged.begin(), merged.end(), [&](const TimestampedDescriptor& e) {
+      return e.descriptor.addr == entry.descriptor.addr;
+    });
+    if (it == merged.end()) {
+      merged.push_back(entry);
+    } else if (entry.timestamp > it->timestamp) {
+      *it = entry;
+    }
+  }
+  std::sort(merged.begin(), merged.end(), in_view_order);
+  if (merged.size() > config.view_size) merged.resize(config.view_size);
+  view = std::move(merged);
+  return rejected;
+}
+
+// Fuzzes one node's view through a run of merges, applying both kernels to
+// the same input and comparing after each. Every view is one a node can
+// hold: a seed view (one stamp, address order unsorted, contacts drawn with
+// replacement so duplicates are identical copies), then merge outputs.
+class MergeFuzz {
+ public:
+  MergeFuzz(std::uint64_t seed, std::size_t view_size, bool harden)
+      : rng_(seed), peers_(view_size * 2 + 3) {
+    config_.view_size = view_size;
+    config_.harden = harden;
+    self_ = static_cast<Address>(rng_.below(peers_));
+  }
+
+  void run(std::size_t merges) {
+    std::vector<TimestampedDescriptor> view;
+    const std::size_t seeds = rng_.below(config_.view_size + 6);
+    for (std::size_t i = 0; i < seeds && view.size() < config_.view_size; ++i) {
+      const auto a = static_cast<Address>(rng_.below(peers_));
+      if (a != self_) view.push_back({{id_of(a), a}, now_});
+    }
+    std::vector<TimestampedDescriptor> expected = view;
+    for (std::size_t m = 0; m < merges; ++m) {
+      now_ += rng_.below(3) * 8;
+      const auto incoming = message();
+      const std::size_t want = reference_merge(expected, incoming, self_, now_, config_);
+      const std::size_t got = newscast_merge(view, incoming, self_, now_, config_);
+      ASSERT_EQ(got, want) << "rejected count, merge " << m;
+      ASSERT_EQ(view.size(), expected.size()) << "merge " << m;
+      for (std::size_t i = 0; i < view.size(); ++i) {
+        ASSERT_EQ(view[i].descriptor.id, expected[i].descriptor.id) << "merge " << m << " @" << i;
+        ASSERT_EQ(view[i].descriptor.addr, expected[i].descriptor.addr)
+            << "merge " << m << " @" << i;
+        ASSERT_EQ(view[i].timestamp, expected[i].timestamp) << "merge " << m << " @" << i;
+      }
+    }
+  }
+
+ private:
+  static NodeId id_of(Address a) { return a * 0x9E3779B97F4A7C15ull + 1; }
+
+  // A stamp at or before now. Clocks advance on a coarse grid, so most
+  // stamps equal others: the address tie-break orders them, and an entry
+  // no fresher than the one it meets must lose.
+  SimTime past_stamp() {
+    const SimTime back = rng_.chance(0.7) ? rng_.below(6) * 8 : rng_.below(3 * kDelta);
+    return back > now_ ? 0 : now_ - back;
+  }
+
+  TimestampedDescriptor entry(std::size_t peers) {
+    const auto a = static_cast<Address>(rng_.below(peers));
+    TimestampedDescriptor e{{id_of(a), a}, past_stamp()};
+    const std::uint64_t r = rng_.below(40);
+    if (r == 0) e.descriptor.addr = self_;
+    if (r == 1) e.descriptor.addr = kNullAddress;
+    if (r == 2) e.descriptor = {id_of(0xFFFFFFFEu), 0xFFFFFFFEu};  // far beyond the node count
+    if (r == 3) e.timestamp = now_ + 1 + rng_.below(kDelta);        // forged freshness
+    if (r >= 4 && r < 8) e.descriptor.id ^= 0x5A5A;                 // forged ID binding
+    return e;
+  }
+
+  std::vector<TimestampedDescriptor> message() {
+    std::vector<TimestampedDescriptor> out;
+    // Mostly view-sized; sometimes a flood of up to 200 entries over more
+    // distinct addresses.
+    const bool flood = rng_.chance(0.05);
+    const std::size_t n = flood ? 70 + rng_.below(130) : rng_.below(config_.view_size + 2);
+    for (std::size_t i = 0; i < n; ++i) out.push_back(entry(flood ? 4 * peers_ + 100 : peers_));
+    // Half are compliant: the sender's view order, then its fresh self entry.
+    if (rng_.chance(0.5)) {
+      std::sort(out.begin(), out.end(), in_view_order);
+      if (rng_.chance(0.8)) {
+        const auto a = static_cast<Address>(rng_.below(peers_));
+        out.push_back({{id_of(a), a}, now_});
+      }
+    }
+    return out;
+  }
+
+  Rng rng_;
+  std::size_t peers_;
+  NewscastConfig config_;
+  Address self_ = 0;
+  SimTime now_ = kDelta;
+};
+
+TEST(NewscastMerge, MatchesSortBasedMerge) {
+  // Seed views with duplicate contacts, view sizes from 1 to the paper's
+  // 30, messages in view order or shuffled, with and without a trailing
+  // self entry, duplicate addresses within a message, self, null, far and
+  // future-stamped entries, and floods; hardening on and off.
+  std::uint64_t seed = 1;
+  for (std::size_t view_size : {1, 4, 8, 30}) {
+    for (bool harden : {false, true}) {
+      for (int trial = 0; trial < 150; ++trial) {
+        SCOPED_TRACE(::testing::Message() << "view_size " << view_size << " harden " << harden
+                                          << " seed " << seed);
+        MergeFuzz(seed++, view_size, harden).run(12);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(NewscastMerge, FirstCopyOfADuplicateSeedIsTheOneReplaced) {
+  // A view holding one address twice (a seed contact drawn twice): a
+  // fresher entry replaces the first copy only, and the second copy stays
+  // until it ages out.
+  NewscastConfig cfg;
+  cfg.view_size = 4;
+  const NodeDescriptor a{11, 7};
+  const NodeDescriptor b{12, 3};
+  std::vector<TimestampedDescriptor> view{{a, 100}, {b, 100}, {a, 100}};
+  const std::vector<TimestampedDescriptor> incoming{{a, 150}, {b, 90}};
+  EXPECT_EQ(newscast_merge(view, incoming, /*self=*/0, /*now=*/200, cfg), 0u);
+  ASSERT_EQ(view.size(), 3u);
+  EXPECT_EQ(view[0].descriptor.addr, 7u);
+  EXPECT_EQ(view[0].timestamp, 150u);
+  EXPECT_EQ(view[1].descriptor.addr, 3u);  // 100, address 3 before 7
+  EXPECT_EQ(view[2].descriptor.addr, 7u);
+  EXPECT_EQ(view[2].timestamp, 100u);
 }
 
 }  // namespace

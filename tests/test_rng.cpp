@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -133,6 +134,43 @@ TEST(Rng, DistinctIndicesFullUniverse) {
   const auto idx = rng.distinct_indices(10, 10);
   std::set<std::uint32_t> seen(idx.begin(), idx.end());
   EXPECT_EQ(seen.size(), 10u);
+}
+
+// Floyd's algorithm with a membership test that scans the output: the
+// O(n^2) form distinct_indices_into had before its O(1) membership test.
+std::vector<std::uint32_t> scanning_floyd(Rng& rng, std::uint32_t n, std::uint32_t universe) {
+  std::vector<std::uint32_t> out;
+  for (std::uint32_t j = universe - n; j < universe; ++j) {
+    const auto t = static_cast<std::uint32_t>(rng.below(j + 1));
+    const bool seen = std::find(out.begin(), out.end(), t) != out.end();
+    out.push_back(seen ? j : t);
+  }
+  return out;
+}
+
+TEST(Rng, DistinctIndicesMatchScanningFloyd) {
+  // Same indices in the same order, and the same generator state after
+  // every draw: the single-word set (universe <= 64) for every n, then the
+  // hashed set on both sides of the word and for large draws.
+  const auto check = [](Rng& fast, Rng& slow, std::uint32_t n, std::uint32_t universe) {
+    std::vector<std::uint32_t> got;
+    fast.distinct_indices_into(n, universe, got);
+    ASSERT_EQ(got, scanning_floyd(slow, n, universe)) << n << " of " << universe;
+    ASSERT_TRUE(fast == slow) << "generator state after " << n << " of " << universe;
+  };
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    Rng fast(seed);
+    Rng slow(seed);
+    for (std::uint32_t universe = 1; universe <= 64; ++universe) {
+      for (std::uint32_t n = 0; n <= universe; ++n) check(fast, slow, n, universe);
+    }
+    for (std::uint32_t universe : {65u, 100u, 1000u}) {
+      for (std::uint32_t n : {0u, 1u, 30u, 64u, 65u}) check(fast, slow, n, universe);
+      check(fast, slow, universe, universe);
+    }
+    check(fast, slow, 11469, 16384);  // a 70% catastrophe at N = 2^14
+    check(fast, slow, 5, 0xFFFFFFFFu);
+  }
 }
 
 TEST(Rng, SplitProducesIndependentStream) {
