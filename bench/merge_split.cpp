@@ -2,8 +2,8 @@
 // merge, split, and recover from catastrophe "almost like a liquid
 // substance".
 //
-// Scenario MERGE: two isolated pools (network partition from t=0) each
-// bootstrap their own overlay; at a configured cycle the partition heals
+// Scenario MERGE: two isolated pools (a FaultPlan cut from t=0) each
+// bootstrap their own overlay; at a configured cycle the cut's window closes
 // (the organizational merge) and the still-running gossip absorbs the other
 // pool. Reported: per-pool convergence before the merge, global convergence
 // after it.
@@ -43,19 +43,18 @@ int main(int argc, char** argv) {
     cfg.shards = shards;
     cfg.max_cycles = 60;
     cfg.stop_at_convergence = false;
-    // Two genuinely independent pools from t=0 (separate Newscast seeding
-    // and a link filter between the halves).
-    cfg.initial_groups.resize(n);
-    for (Address a = 0; a < n; ++a) cfg.initial_groups[a] = a < n / 2 ? 0 : 1;
-    BootstrapExperiment exp(cfg);
-    Engine& engine = exp.engine();
-
     const std::size_t heal_cycle = 30;
     const SimTime heal_time =
         (cfg.warmup_cycles + heal_cycle) * cfg.bootstrap.delta;
+    // Two genuinely independent pools from t=0 (separate Newscast seeding
+    // and a cut between the halves) until the heal.
+    cfg.fault_plan.partitions.push_back(
+        {{0, heal_time}, PartitionSpec::Kind::Cut, static_cast<std::uint32_t>(n / 2)});
+    BootstrapExperiment exp(cfg);
+    Engine& engine = exp.engine();
+
     const auto newscast_slot = exp.newscast_slot();
     engine.schedule_call(heal_time, [n, newscast_slot](Engine& e) {
-      heal_partition(e);
       // The organizational merge: a handful of pool-A nodes are handed
       // contacts in pool B; Newscast spreads them epidemically.
       for (int i = 0; i < 10; ++i) {
@@ -111,24 +110,23 @@ int main(int argc, char** argv) {
     cfg.shards = shards;
     cfg.max_cycles = 60;
     cfg.stop_at_convergence = false;
-    cfg.initial_groups.resize(n);
-    for (Address a = 0; a < n; ++a) cfg.initial_groups[a] = a < n / 2 ? 0 : 1;
+    const std::size_t heal_cycle = 30;
+    const std::size_t restart_cycle = heal_cycle + 3;
+    const SimTime heal_time =
+        (cfg.warmup_cycles + heal_cycle) * cfg.bootstrap.delta;
+    cfg.fault_plan.partitions.push_back(
+        {{0, heal_time}, PartitionSpec::Kind::Cut, static_cast<std::uint32_t>(n / 2)});
     BootstrapExperiment exp(cfg);
     Engine& engine = exp.engine();
 
-    const std::size_t heal_cycle = 30;
-    const std::size_t restart_cycle = heal_cycle + 3;
     const auto newscast_slot = exp.newscast_slot();
-    engine.schedule_call((cfg.warmup_cycles + heal_cycle) * cfg.bootstrap.delta,
-                         [n, newscast_slot](Engine& e) {
-                           heal_partition(e);
-                           for (int i = 0; i < 10; ++i) {
-                             const auto a = static_cast<Address>(e.rng().below(n / 2));
-                             const auto b = static_cast<Address>(n / 2 + e.rng().below(n / 2));
-                             newscast_slot.of(e, a).add_contact(e.descriptor_of(b),
-                                                               e.now());
-                           }
-                         });
+    engine.schedule_call(heal_time, [n, newscast_slot](Engine& e) {
+      for (int i = 0; i < 10; ++i) {
+        const auto a = static_cast<Address>(e.rng().below(n / 2));
+        const auto b = static_cast<Address>(n / 2 + e.rng().below(n / 2));
+        newscast_slot.of(e, a).add_contact(e.descriptor_of(b), e.now());
+      }
+    });
     engine.schedule_call((cfg.warmup_cycles + restart_cycle) * cfg.bootstrap.delta,
                          [&exp](Engine& e) {
                            for (const Address a : e.alive_addresses()) {

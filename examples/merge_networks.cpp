@@ -13,7 +13,6 @@
 
 #include "common/flags.hpp"
 #include "core/experiment.hpp"
-#include "sim/scenario.hpp"
 
 using namespace bsvc;
 
@@ -28,27 +27,28 @@ int main(int argc, char** argv) {
   cfg.seed = seed;
   cfg.max_cycles = 100;
   cfg.stop_at_convergence = false;
-  cfg.initial_groups.resize(n);
-  for (Address a = 0; a < n; ++a) cfg.initial_groups[a] = a < n / 2 ? 0 : 1;
+  // The partition between the organizations: a cut at n/2 from t=0 whose
+  // window closes at the merge.
+  const std::size_t heal_cycle = 30;
+  const SimTime heal_time = (cfg.warmup_cycles + heal_cycle) * cfg.bootstrap.delta;
+  cfg.fault_plan.partitions.push_back(
+      {{0, heal_time}, PartitionSpec::Kind::Cut, static_cast<std::uint32_t>(n / 2)});
   BootstrapExperiment exp(cfg);
   Engine& engine = exp.engine();
 
   std::printf("Organizations A and B: %zu nodes each, isolated networks.\n", n / 2);
 
-  const std::size_t heal_cycle = 30;
   const auto newscast_slot = exp.newscast_slot();
-  engine.schedule_call((cfg.warmup_cycles + heal_cycle) * cfg.bootstrap.delta,
-                       [n, newscast_slot](Engine& e) {
-                         std::printf("  >>> networks connected (merge!) — 10 cross-pool "
-                                     "contacts handed out <<<\n");
-                         heal_partition(e);
-                         for (int i = 0; i < 10; ++i) {
-                           const auto a = static_cast<Address>(e.rng().below(n / 2));
-                           const auto b = static_cast<Address>(n / 2 + e.rng().below(n / 2));
-                           dynamic_cast<NewscastProtocol&>(e.protocol(a, newscast_slot))
-                               .add_contact(e.descriptor_of(b), e.now());
-                         }
-                       });
+  engine.schedule_call(heal_time, [n, newscast_slot](Engine& e) {
+    std::printf("  >>> networks connected (merge!) — 10 cross-pool "
+                "contacts handed out <<<\n");
+    for (int i = 0; i < 10; ++i) {
+      const auto a = static_cast<Address>(e.rng().below(n / 2));
+      const auto b = static_cast<Address>(n / 2 + e.rng().below(n / 2));
+      dynamic_cast<NewscastProtocol&>(e.protocol(a, newscast_slot))
+          .add_contact(e.descriptor_of(b), e.now());
+    }
+  });
 
   std::vector<NodeDescriptor> pool_a, pool_b;
   for (Address a = 0; a < n; ++a) {

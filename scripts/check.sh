@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Sanitizer gate: configures a second build tree under the chosen sanitizer,
 # builds everything and runs the tier-1 test suite under it. Catches lifetime
-# bugs (e.g. in the event queue's slot pools and the thread pool) that the
+# bugs (e.g. in the event queue's slot pools and the worker crews) that the
 # plain build cannot.
 #
 # Usage: scripts/check.sh [build_dir] [sanitizer]
@@ -30,14 +30,14 @@ case "${sanitizer}" in
     san_flags="thread"
     # Most tests run the engine at K = 1 and exercise no threads, and golden
     # replays take far too long under TSan's instrumentation; target the code
-    # that actually runs worker crews. ThreadPool/ParallelFor/ParallelMap
-    # cover the thread-pool utilities (tests/test_parallel.cpp),
-    # ParallelEngine the window engine at K > 1
+    # that actually runs worker crews. ParallelFor/ParallelMap cover
+    # parallel_for and parallel_map, which run on a WindowCrew
+    # (tests/test_parallel.cpp), ParallelEngine the window engine at K > 1
     # (tests/test_parallel_engine.cpp — cross-K determinism under real
     # thread interleaving is exactly what TSan stresses, including the
-    # Oracle sampler's in-window liveness reads), WindowCrew the crew
-    # barrier itself.
-    test_filter='ThreadPool|ParallelFor|ParallelMap|ParallelEngine|WindowCrew|HardwareThreads'
+    # Oracle sampler's in-window liveness reads and a merge from a t = 0
+    # partition), WindowCrew the crew barrier itself.
+    test_filter='ParallelFor|ParallelMap|ParallelEngine|WindowCrew|HardwareThreads'
     ;;
   *)
     echo "unknown sanitizer '${sanitizer}' (expected asan, ubsan or tsan)" >&2

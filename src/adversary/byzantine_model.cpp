@@ -53,21 +53,17 @@ void ByzantineModel::install(Engine& engine) {
   // every colluder fronts for a share of the fake identities. The RNG draw
   // order (one next_u64 per pooled identity, grouped by adversary) is pinned
   // by golden replays and must not change with the storage layout.
-  sybil_pool_ = {};
-  pool_base_.clear();
+  sybil_pool_.clear();
+  pool_base_.assign(n, 0);
   if (plan_.poison && !adversaries_.empty()) {
     std::size_t rr = 0;
-    std::uint64_t base = 0;
-    Chamt<NodeDescriptor> directory;
+    sybil_pool_.reserve(adversaries_.size() * plan_.pool_size);
     for (const auto a : adversaries_) {
-      pool_base_.emplace(a, base);
+      pool_base_[a] = sybil_pool_.size();
       for (std::size_t i = 0; i < plan_.pool_size; ++i) {
-        directory = directory.set(
-            base + i, {rng_.next_u64(), adversaries_[rr++ % adversaries_.size()]});
+        sybil_pool_.push_back({rng_.next_u64(), adversaries_[rr++ % adversaries_.size()]});
       }
-      base += plan_.pool_size;
     }
-    sybil_pool_ = std::move(directory);
   }
 
   auto& m = engine.metrics();
@@ -206,19 +202,18 @@ FaultModel::TamperVerdict ByzantineModel::tamper(SimTime now, Address from, Addr
       eclipsed_->add(fill);
       changed = true;
     } else if (plan_.poison) {
-      const std::uint64_t base = pool_base_.at(from);
+      const std::size_t base = pool_base_[from];
       const auto entries = boot->all_entries();
       std::uint64_t swapped = 0;
       // Flat buffer is ring-then-prefix, so this walks the same descriptor
       // order (and draws the same randomness) as the old two-list sweep.
       // The clone is lazy — materialized on the first swap — so a delivery
       // the dice leave untouched never copies the descriptor set at all;
-      // the swapped-in identities read from the shared sybil directory.
+      // the swapped-in identities read from the sybil pool.
       for (std::size_t i = 0; i < entries.size(); ++i) {
         if (rng.chance(kPoisonSwapProbability)) {
           if (mutated == nullptr) mutated = std::make_unique<BootstrapMessage>(*boot);
-          mutated->mutable_entries()[i] =
-              *sybil_pool_.find(base + rng.below(plan_.pool_size));
+          mutated->mutable_entries()[i] = sybil_pool_[base + rng.below(plan_.pool_size)];
           ++swapped;
         }
       }
@@ -245,14 +240,14 @@ FaultModel::TamperVerdict ByzantineModel::tamper(SimTime now, Address from, Addr
   }
 
   if (news != nullptr && plan_.poison) {
-    const std::uint64_t base = pool_base_.at(from);
+    const std::size_t base = pool_base_[from];
     std::unique_ptr<NewscastMessage> mutated;  // lazy, like the bootstrap path
     std::uint64_t swapped = 0;
     for (std::size_t i = 0; i < news->entries.size(); ++i) {
       if (rng.chance(kPoisonSwapProbability)) {
         if (mutated == nullptr) mutated = std::make_unique<NewscastMessage>(*news);
         auto& e = mutated->entries[i];
-        e.descriptor = *sybil_pool_.find(base + rng.below(plan_.pool_size));
+        e.descriptor = sybil_pool_[base + rng.below(plan_.pool_size)];
         // Freshness forgery: a future timestamp wins every dedupe, so the
         // fake sticks in unhardened views (hardened merges reject it).
         e.timestamp = now + kDelta;

@@ -24,11 +24,9 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "adversary/adversary_plan.hpp"
-#include "common/chamt.hpp"
 #include "common/rng.hpp"
 #include "fault/fault_model.hpp"
 #include "id/descriptor.hpp"
@@ -90,13 +88,11 @@ class ByzantineModel : public FaultModel {
   std::vector<Address> adversaries_;
   std::vector<std::uint8_t> adversary_mask_;
   // Fixed sybil pools: fabricated IDs bound to colluder addresses (see
-  // AdversaryPlan::pool_size). One persistent popcount-bitmap directory
-  // (common/chamt.hpp) shared by every adversary instead of a descriptor
-  // vector per adversary: adversary a's i-th fabricated identity lives at
-  // key pool_base_[a] + i, and any snapshot of the directory shares
-  // structure with the installed version rather than deep-copying it.
-  Chamt<NodeDescriptor> sybil_pool_;
-  std::unordered_map<Address, std::uint64_t> pool_base_;
+  // AdversaryPlan::pool_size), built once at install and read-only after.
+  // Adversary a's i-th fabricated identity is sybil_pool_[pool_base_[a] + i];
+  // pool_base_ is indexed by address, like adversary_mask_.
+  std::vector<NodeDescriptor> sybil_pool_;
+  std::vector<std::size_t> pool_base_;
 
   // Metric handles, bound at install().
   obs::Counter* poisoned_ = nullptr;    // adv.poisoned (descriptors swapped)

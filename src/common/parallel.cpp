@@ -1,5 +1,6 @@
 #include "common/parallel.hpp"
 
+#include <atomic>
 #include <chrono>
 #include <exception>
 #include <limits>
@@ -12,57 +13,6 @@ namespace bsvc {
 std::size_t hardware_threads() {
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<std::size_t>(n);
-}
-
-ThreadPool::ThreadPool(std::size_t threads) {
-  const std::size_t n = threads == 0 ? hardware_threads() : threads;
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  task_ready_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  BSVC_CHECK(task != nullptr);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    tasks_.push_back(std::move(task));
-    ++in_flight_;
-  }
-  task_ready_.notify_one();
-}
-
-void ThreadPool::wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-void ThreadPool::worker_loop() {
-  while (true) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      task_ready_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
-      if (tasks_.empty()) return;  // stop_ set and queue drained
-      task = std::move(tasks_.front());
-      tasks_.pop_front();
-    }
-    task();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --in_flight_;
-    }
-    all_done_.notify_all();
-  }
 }
 
 WindowCrew::WindowCrew(std::size_t size) : size_(size == 0 ? 1 : size) {
@@ -163,25 +113,24 @@ void parallel_for(std::size_t count, std::size_t threads,
   std::size_t first_error_index = std::numeric_limits<std::size_t>::max();
   std::exception_ptr first_error;
 
-  ThreadPool pool(n);
-  for (std::size_t w = 0; w < n; ++w) {
-    pool.submit([&] {
-      while (true) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= count) return;
-        try {
-          body(i);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(error_mutex);
-          if (i < first_error_index) {
-            first_error_index = i;
-            first_error = std::current_exception();
-          }
+  // One claim loop per lane; it catches everything, as WindowCrew::run
+  // requires.
+  WindowCrew crew(n);
+  crew.run([&](std::size_t) {
+    while (true) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count) return;
+      try {
+        body(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mutex);
+        if (i < first_error_index) {
+          first_error_index = i;
+          first_error = std::current_exception();
         }
       }
-    });
-  }
-  pool.wait();
+    }
+  });
   if (first_error) std::rethrow_exception(first_error);
 }
 

@@ -11,11 +11,9 @@
 // merely equivalent but literally the same code path.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -27,43 +25,12 @@ namespace bsvc {
 /// Number of hardware threads, at least 1 (hardware_concurrency may be 0).
 std::size_t hardware_threads();
 
-/// A fixed-size worker pool with a FIFO task queue. Tasks must not throw
-/// across the submit boundary — wrap and capture exceptions yourself (
-/// parallel_for below does).
-class ThreadPool {
- public:
-  /// Spawns `threads` workers (0 means hardware_threads()).
-  explicit ThreadPool(std::size_t threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  std::size_t size() const { return workers_.size(); }
-
-  /// Enqueues one task.
-  void submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished.
-  void wait();
-
- private:
-  void worker_loop();
-
-  std::mutex mutex_;
-  std::condition_variable task_ready_;
-  std::condition_variable all_done_;
-  std::deque<std::function<void()>> tasks_;
-  std::size_t in_flight_ = 0;  // queued + currently executing
-  bool stop_ = false;
-  std::vector<std::thread> workers_;
-};
-
-/// Runs body(0..count-1), fanned across up to `threads` workers (capped at
-/// `count`). Indices are claimed in order but may complete out of order;
-/// the call returns only when all have finished. threads <= 1 runs inline
-/// sequentially. If any invocation throws, the exception thrown by the
-/// lowest index is rethrown after all work has settled.
+/// Runs body(0..count-1), fanned across up to `threads` lanes (capped at
+/// `count`; 0 means hardware_threads()) of a WindowCrew, lane 0 on the
+/// calling thread. Indices are claimed in order but may complete out of
+/// order; the call returns only when all have finished. threads <= 1 runs
+/// inline sequentially. If any invocation throws, the exception thrown by
+/// the lowest index is rethrown after all work has settled.
 void parallel_for(std::size_t count, std::size_t threads,
                   const std::function<void(std::size_t)>& body);
 

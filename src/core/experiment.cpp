@@ -14,6 +14,9 @@ namespace bsvc {
 
 namespace {
 
+/// Initial Newscast view seeds per node.
+constexpr std::size_t kBootstrapContacts = 10;
+
 [[noreturn]] void config_error(const char* what, const std::string& detail) {
   std::fprintf(stderr, "error: invalid %s: %s\n", what, detail.c_str());
   std::exit(2);
@@ -47,16 +50,10 @@ BootstrapExperiment::BootstrapExperiment(ExperimentConfig config) : config_(std:
     profiler_ = std::make_unique<obs::EngineProfiler>(config_.shards);
     engine_->set_profiler(profiler_.get());
   }
-  FaultPlan plan = config_.fault_plan;
-  if (!config_.fault_plan_path.empty()) {
-    std::string err;
-    if (!load_fault_plan(config_.fault_plan_path, plan, err)) {
-      config_error("fault plan", err);
-    }
-  } else if (const std::string err = plan.validate(); !err.empty()) {
+  if (const std::string err = config_.fault_plan.validate(); !err.empty()) {
     config_error("fault plan", err);
   }
-  injector_ = install_fault_plan(*engine_, plan);
+  injector_ = install_fault_plan(*engine_, config_.fault_plan);
   ids_ = std::make_unique<IdGenerator>(Rng(config_.seed ^ 0x1D8AF066EF5E2D3Cull));
   build_network();
 }
@@ -96,7 +93,7 @@ Address BootstrapExperiment::make_node() {
   // barrier from the engine stream.
   if (built_ && config_.sampler == SamplerKind::Newscast) {
     OracleSampler contacts(engine, addr, engine.rng());
-    newscast_ref_.of(engine, addr).init_view(contacts.sample(config_.bootstrap_contacts));
+    newscast_ref_.of(engine, addr).init_view(contacts.sample(kBootstrapContacts));
   }
   if (config_.node_extension) config_.node_extension(engine, addr);
   return addr;
@@ -107,27 +104,18 @@ void BootstrapExperiment::build_network() {
   for (std::size_t i = 0; i < config_.n; ++i) make_node();
 
   // Seed every Newscast view with random contacts (a functional-but-
-  // arbitrary starting overlay; warmup randomizes it). With an initial
-  // partition, contacts come from the node's own group only and a link
-  // filter isolates the groups — independent pools from the first tick.
-  const bool partitioned = !config_.initial_groups.empty();
-  if (partitioned) {
-    BSVC_CHECK_MSG(config_.initial_groups.size() == config_.n,
-                   "initial_groups must cover every node");
-    apply_partition(engine, config_.initial_groups);
-  }
+  // arbitrary starting overlay; warmup randomizes it). A contact that a
+  // partition in force at t = 0 cuts off is skipped, so each group starts
+  // as an independent pool.
   if (config_.sampler == SamplerKind::Newscast) {
-    const auto group_of = [&](Address a) {
-      return partitioned ? config_.initial_groups[a] : 0u;
-    };
     for (Address addr = 0; addr < config_.n; ++addr) {
       DescriptorList seeds;
-      seeds.reserve(config_.bootstrap_contacts);
+      seeds.reserve(kBootstrapContacts);
       std::size_t guard = 0;
-      while (seeds.size() < config_.bootstrap_contacts && guard < 64 * config_.bootstrap_contacts) {
+      while (seeds.size() < kBootstrapContacts && guard < 64 * kBootstrapContacts) {
         ++guard;
         const auto peer = static_cast<Address>(engine.rng().below(config_.n));
-        if (peer != addr && group_of(peer) == group_of(addr)) {
+        if (peer != addr && !config_.fault_plan.separated(0, addr, peer)) {
           seeds.push_back(engine.descriptor_of(peer));
         }
       }

@@ -57,14 +57,6 @@ struct ExperimentConfig {
   /// cycle; enabled when fail_rate or join_rate > 0).
   double churn_fail_rate = 0.0;
   double churn_join_rate = 0.0;
-  /// Initial Newscast view seeds per node.
-  std::size_t bootstrap_contacts = 10;
-  /// Optional initial partition: group id per node address (empty = one
-  /// network). When set, a link filter blocks cross-group traffic from t=0
-  /// and Newscast views are seeded within groups only — two genuinely
-  /// independent pools, as in the merge scenarios. Heal with
-  /// heal_partition(engine) when the pools "merge".
-  std::vector<std::uint32_t> initial_groups;
   /// When > 0, a Sampler snapshots the engine's metrics registry — plus
   /// convergence and traffic gauges computed by probes — every this many
   /// cycles during the bootstrap phase; the series lands in
@@ -88,11 +80,11 @@ struct ExperimentConfig {
   /// dup/reorder, crash–recover; see docs/faults.md). An empty plan installs
   /// no fault model at all — the run is bit-identical to the pre-fault
   /// engine. Window times are absolute virtual time, so warmup_cycles counts
-  /// toward them.
+  /// toward them. A partition open at t = 0 also keeps the initial Newscast
+  /// seeding inside each group: independent pools from the first tick, as
+  /// in the merge scenarios, whose cut window closes at the merge. An
+  /// invalid plan is rejected at setup with exit code 2.
   FaultPlan fault_plan;
-  /// When non-empty, a text plan file loaded over `fault_plan` (the file
-  /// wins). Rejected with a clear error at setup on parse failure.
-  std::string fault_plan_path;
   /// Optional per-node extension hook, invoked at the end of make_node() for
   /// every node — the initial network and later churn joiners alike — so a
   /// layer above the bootstrap (e.g. the src/workload request/broadcast

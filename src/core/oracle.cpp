@@ -14,18 +14,6 @@ std::vector<NodeDescriptor> ConvergenceOracle::alive_members(const Engine& engin
   return members;
 }
 
-TableAccess bootstrap_table_access(const Engine& engine, SlotRef<BootstrapProtocol> slot) {
-  TableAccess access;
-  access.active = [&engine, slot](Address a) { return slot.of(engine, a).active(); };
-  access.leaf = [&engine, slot](Address a) -> const LeafSet& {
-    return slot.of(engine, a).leaf_set();
-  };
-  access.prefix = [&engine, slot](Address a) -> const PrefixTable& {
-    return slot.of(engine, a).prefix_table();
-  };
-  return access;
-}
-
 ConvergenceOracle::ConvergenceOracle(const Engine& engine, const BootstrapConfig& config,
                                      SlotRef<BootstrapProtocol> bootstrap_slot)
     : ConvergenceOracle(engine, alive_members(engine), config, bootstrap_slot) {}
@@ -33,12 +21,7 @@ ConvergenceOracle::ConvergenceOracle(const Engine& engine, const BootstrapConfig
 ConvergenceOracle::ConvergenceOracle(const Engine& engine, std::vector<NodeDescriptor> members,
                                      const BootstrapConfig& config,
                                      SlotRef<BootstrapProtocol> bootstrap_slot)
-    : ConvergenceOracle(engine, std::move(members), config,
-                        bootstrap_table_access(engine, bootstrap_slot)) {}
-
-ConvergenceOracle::ConvergenceOracle(const Engine& engine, std::vector<NodeDescriptor> members,
-                                     const BootstrapConfig& config, TableAccess access)
-    : engine_(engine), access_(std::move(access)), tables_(std::move(members), config) {
+    : engine_(engine), slot_(bootstrap_slot), tables_(std::move(members), config) {
   rank_by_addr_.assign(engine.node_count(), 0xFFFFFFFFu);
   const auto& sorted = tables_.sorted_members();
   for (std::size_t r = 0; r < sorted.size(); ++r) {
@@ -65,9 +48,10 @@ ConvergenceMetrics ConvergenceOracle::measure(bool check_liveness) const {
     const PerfectTables::LeafSpan span = tables_.leaf_span(rank);
     metrics.leaf_perfect += span.succ_count + span.pred_count;
     metrics.prefix_perfect += tables_.perfect_prefix_total(rank);
-    if (!access_.active(addr)) continue;  // tables not built yet: everything missing
-    const LeafSet& node_leaf = access_.leaf(addr);
-    const PrefixTable& node_prefix = access_.prefix(addr);
+    const BootstrapProtocol& proto = slot_.of(engine_, addr);
+    if (!proto.active()) continue;  // tables not built yet: everything missing
+    const LeafSet& node_leaf = proto.leaf_set();
+    const PrefixTable& node_prefix = proto.prefix_table();
 
     // Leaf: two-pointer match of the actual per-direction lists (sorted by
     // directed distance) against the perfect contiguous rank spans.

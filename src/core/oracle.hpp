@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/bootstrap.hpp"
@@ -44,18 +43,6 @@ struct ConvergenceMetrics {
   bool converged() const { return leaf_converged() && prefix_converged(); }
 };
 
-/// How the oracle (and routers) reach a node's tables. The default binds to
-/// BootstrapProtocol at a slot; any protocol exposing the same structures
-/// (e.g. the message-level Pastry node) can provide its own accessor.
-struct TableAccess {
-  std::function<bool(Address)> active;
-  std::function<const LeafSet&(Address)> leaf;
-  std::function<const PrefixTable&(Address)> prefix;
-};
-
-/// Accessor for BootstrapProtocol instances at `slot`.
-TableAccess bootstrap_table_access(const Engine& engine, SlotRef<BootstrapProtocol> slot);
-
 class ConvergenceOracle {
  public:
   /// Snapshots the engine's alive membership and precomputes perfect
@@ -68,10 +55,6 @@ class ConvergenceOracle {
   /// protocol at `bootstrap_slot`.
   ConvergenceOracle(const Engine& engine, std::vector<NodeDescriptor> members,
                     const BootstrapConfig& config, SlotRef<BootstrapProtocol> bootstrap_slot);
-
-  /// Fully general form: explicit membership and table accessor.
-  ConvergenceOracle(const Engine& engine, std::vector<NodeDescriptor> members,
-                    const BootstrapConfig& config, TableAccess access);
 
   /// Measures both metrics across all alive nodes that have an activated
   /// bootstrap protocol. If `check_liveness` is true (churn scenarios),
@@ -99,7 +82,7 @@ class ConvergenceOracle {
   static std::vector<NodeDescriptor> alive_members(const Engine& engine);
 
   const Engine& engine_;
-  TableAccess access_;
+  SlotRef<BootstrapProtocol> slot_;
   PerfectTables tables_;
   std::vector<std::uint32_t> rank_by_addr_;  // addr -> rank (or ~0)
   bool subset_ = false;  // membership differs from the engine's alive set

@@ -32,12 +32,12 @@ SimTime FaultInjector::dark_until(SimTime now, Address addr) const {
 FaultModel::SendDecision FaultInjector::on_send(SimTime now, Address from, Address to,
                                                 Rng& rng) {
   SendDecision d;
-  for (const PartitionSpec& p : plan_.partitions) {
-    if (p.window.contains(now) && p.group_of(from) != p.group_of(to)) {
-      d.drop = true;
-      if (partition_dropped_ != nullptr) partition_dropped_->inc();
-      return d;
-    }
+  // First, and drawing nothing: a cut message never reaches the random
+  // faults below, so installing a partition shifts no sender stream.
+  if (plan_.separated(now, from, to)) {
+    d.drop = true;
+    if (partition_dropped_ != nullptr) partition_dropped_->inc();
+    return d;
   }
   for (const LinkLossSpec& l : plan_.link_loss) {
     if (!l.window.contains(now)) continue;

@@ -51,8 +51,8 @@ class FaultModel {
 
   virtual ~FaultModel() = default;
 
-  /// Consulted once per send, after the link filter and before the base
-  /// drop model. Draws only from `rng`, the sender's transport stream.
+  /// Consulted once per send, before the base drop model. Draws only from
+  /// `rng`, the sender's transport stream.
   virtual SendDecision on_send(SimTime now, Address from, Address to, Rng& rng) = 0;
 
   /// If `addr` is dark (crashed-but-recovering) at `now`, returns the

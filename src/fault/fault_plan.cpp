@@ -1,10 +1,6 @@
 #include "fault/fault_plan.hpp"
 
-#include <cerrno>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <sstream>
 
 namespace bsvc {
 
@@ -16,212 +12,6 @@ std::string window_error(const char* what, const TimeWindow& w) {
   if (w.start < w.end) return "";
   return std::string(what) + " window [" + std::to_string(w.start) + ".." +
          std::to_string(w.end) + ") is empty (need start < end)";
-}
-
-// --- tokenization ---------------------------------------------------------
-
-std::vector<std::string> split_tokens(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream in(line);
-  std::string tok;
-  while (in >> tok) {
-    if (tok[0] == '#') break;  // trailing comment
-    tokens.push_back(tok);
-  }
-  return tokens;
-}
-
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  out = v;
-  return true;
-}
-
-bool parse_f64(const std::string& s, double& out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  out = v;
-  return true;
-}
-
-/// "A..B" -> half-open window [A, B).
-bool parse_window(const std::string& s, TimeWindow& out) {
-  const auto dots = s.find("..");
-  if (dots == std::string::npos) return false;
-  return parse_u64(s.substr(0, dots), out.start) &&
-         parse_u64(s.substr(dots + 2), out.end);
-}
-
-/// Key=value arguments after the window token.
-struct Args {
-  std::vector<std::pair<std::string, std::string>> kv;
-
-  const std::string* find(const std::string& key) const {
-    for (const auto& [k, v] : kv) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-
-  bool get_u64(const std::string& key, std::uint64_t& out, std::string& error) const {
-    const std::string* v = find(key);
-    if (v == nullptr) return false;
-    if (!parse_u64(*v, out)) {
-      error = key + " expects an unsigned integer, got '" + *v + "'";
-      return false;
-    }
-    return true;
-  }
-
-  bool get_f64(const std::string& key, double& out, std::string& error) const {
-    const std::string* v = find(key);
-    if (v == nullptr) return false;
-    if (!parse_f64(*v, out)) {
-      error = key + " expects a number, got '" + *v + "'";
-      return false;
-    }
-    return true;
-  }
-};
-
-bool parse_args(const std::vector<std::string>& tokens, std::size_t first, Args& out,
-                std::string& error) {
-  for (std::size_t i = first; i < tokens.size(); ++i) {
-    const auto eq = tokens[i].find('=');
-    if (eq == std::string::npos || eq == 0) {
-      error = "expected key=value, got '" + tokens[i] + "'";
-      return false;
-    }
-    out.kv.emplace_back(tokens[i].substr(0, eq), tokens[i].substr(eq + 1));
-  }
-  return true;
-}
-
-/// One event line (already tokenized, non-empty). Returns "" or the error.
-std::string parse_line(const std::vector<std::string>& tokens, FaultPlan& plan) {
-  const std::string& kind = tokens[0];
-  std::string error;
-
-  if (kind == "seed") {
-    if (tokens.size() != 2 || !parse_u64(tokens[1], plan.seed)) {
-      return "seed expects one unsigned integer";
-    }
-    return "";
-  }
-
-  // Every other keyword takes a window as its first operand.
-  if (tokens.size() < 2) return kind + " expects a START..END window";
-  TimeWindow window;
-  if (!parse_window(tokens[1], window)) {
-    return "bad window '" + tokens[1] + "' (expected START..END in ticks)";
-  }
-  Args args;
-  if (!parse_args(tokens, 2, args, error)) return error;
-
-  if (kind == "partition") {
-    PartitionSpec spec;
-    spec.window = window;
-    std::uint64_t value = 0;
-    if (args.get_u64("cut", value, error)) {
-      spec.kind = PartitionSpec::Kind::Cut;
-      spec.value = static_cast<std::uint32_t>(value);
-    } else if (!error.empty()) {
-      return error;
-    } else if (args.get_u64("mod", value, error)) {
-      spec.kind = PartitionSpec::Kind::Modulo;
-      spec.value = static_cast<std::uint32_t>(value);
-    } else if (!error.empty()) {
-      return error;
-    } else {
-      return "partition expects cut=ADDR or mod=GROUPS";
-    }
-    plan.partitions.push_back(spec);
-    return "";
-  }
-
-  if (kind == "loss") {
-    LinkLossSpec spec;
-    spec.window = window;
-    if (!args.get_f64("p", spec.drop_probability, error)) {
-      return error.empty() ? "loss expects p=PROBABILITY" : error;
-    }
-    std::uint64_t addr = 0;
-    if (args.get_u64("from", addr, error)) spec.from = static_cast<Address>(addr);
-    if (!error.empty()) return error;
-    if (args.get_u64("to", addr, error)) spec.to = static_cast<Address>(addr);
-    if (!error.empty()) return error;
-    plan.link_loss.push_back(spec);
-    return "";
-  }
-
-  if (kind == "delay") {
-    LatencySpec spec;
-    spec.window = window;
-    spec.mode = LatencySpec::Mode::Spike;
-    if (!args.get_u64("add", spec.add, error)) {
-      return error.empty() ? "delay expects add=TICKS" : error;
-    }
-    plan.latency.push_back(spec);
-    return "";
-  }
-
-  if (kind == "pareto") {
-    LatencySpec spec;
-    spec.window = window;
-    spec.mode = LatencySpec::Mode::Pareto;
-    if (!args.get_f64("scale", spec.scale, error)) {
-      return error.empty() ? "pareto expects scale=TICKS" : error;
-    }
-    if (!args.get_f64("alpha", spec.alpha, error) && !error.empty()) return error;
-    if (!args.get_u64("cap", spec.cap, error) && !error.empty()) return error;
-    plan.latency.push_back(spec);
-    return "";
-  }
-
-  if (kind == "dup") {
-    DuplicateSpec spec;
-    spec.window = window;
-    if (!args.get_f64("p", spec.probability, error)) {
-      return error.empty() ? "dup expects p=PROBABILITY" : error;
-    }
-    if (!args.get_u64("jitter", spec.jitter, error) && !error.empty()) return error;
-    plan.duplicates.push_back(spec);
-    return "";
-  }
-
-  if (kind == "reorder") {
-    ReorderSpec spec;
-    spec.window = window;
-    if (!args.get_f64("p", spec.probability, error)) {
-      return error.empty() ? "reorder expects p=PROBABILITY" : error;
-    }
-    if (!args.get_u64("delay", spec.max_delay, error) && !error.empty()) return error;
-    plan.reorders.push_back(spec);
-    return "";
-  }
-
-  if (kind == "crash") {
-    CrashSpec spec;
-    spec.window = window;
-    std::uint64_t addr = 0;
-    const bool has_addr = args.get_u64("addr", addr, error);
-    if (!error.empty()) return error;
-    const bool has_frac = args.get_f64("frac", spec.fraction, error);
-    if (!error.empty()) return error;
-    if (has_addr == has_frac) return "crash expects exactly one of addr=NODE or frac=FRACTION";
-    if (has_addr) spec.addr = static_cast<Address>(addr);
-    plan.crashes.push_back(spec);
-    return "";
-  }
-
-  return "unknown event '" + kind + "'";
 }
 
 }  // namespace
@@ -269,47 +59,6 @@ std::string FaultPlan::validate() const {
     }
   }
   return "";
-}
-
-bool parse_fault_plan(const std::string& text, FaultPlan& out, std::string& error) {
-  FaultPlan plan;
-  std::istringstream in(text);
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const auto tokens = split_tokens(line);
-    if (tokens.empty()) continue;  // blank or comment-only line
-    if (const std::string e = parse_line(tokens, plan); !e.empty()) {
-      error = "line " + std::to_string(line_no) + ": " + e;
-      return false;
-    }
-  }
-  if (const std::string e = plan.validate(); !e.empty()) {
-    error = e;
-    return false;
-  }
-  out = std::move(plan);
-  error.clear();
-  return true;
-}
-
-bool load_fault_plan(const std::string& path, FaultPlan& out, std::string& error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    error = "cannot open fault plan '" + path + "'";
-    return false;
-  }
-  std::string text;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  if (!parse_fault_plan(text, out, error)) {
-    error = path + ": " + error;
-    return false;
-  }
-  return true;
 }
 
 }  // namespace bsvc

@@ -1,10 +1,9 @@
 // FaultPlan: a deterministic, seeded schedule of timed fault events —
 // network partitions, correlated/asymmetric link loss, latency spikes and
 // heavy-tail (Pareto) latency, message duplication, reordering windows, and
-// crash–recover node schedules. A plan is plain data: it can be built
-// programmatically, parsed from the text format documented in
-// docs/faults.md, and copied freely (ExperimentConfig carries one by
-// value). FaultInjector turns a plan into a live FaultModel.
+// crash–recover node schedules. A plan is plain data, built in code and
+// copied freely (ExperimentConfig carries one by value; docs/faults.md has
+// an example). FaultInjector turns a plan into a live FaultModel.
 #pragma once
 
 #include <cstdint>
@@ -113,16 +112,19 @@ struct FaultPlan {
            duplicates.empty() && reorders.empty() && crashes.empty();
   }
 
+  /// True when a partition open at `t` puts `a` and `b` in different
+  /// groups, so a message between them sent at `t` is cut. The injector's
+  /// send check and the experiment's t = 0 view seeding both ask this.
+  bool separated(SimTime t, Address a, Address b) const {
+    for (const PartitionSpec& p : partitions) {
+      if (p.window.contains(t) && p.group_of(a) != p.group_of(b)) return true;
+    }
+    return false;
+  }
+
   /// Returns "" when the plan is well-formed, else a description of the
   /// first problem (window start >= end, probability outside [0,1], ...).
   std::string validate() const;
 };
-
-/// Parses the text plan format (one event per line; see docs/faults.md).
-/// On failure returns false and sets `error` to "line N: <problem>".
-bool parse_fault_plan(const std::string& text, FaultPlan& out, std::string& error);
-
-/// Reads `path` and parses it. On failure returns false and sets `error`.
-bool load_fault_plan(const std::string& path, FaultPlan& out, std::string& error);
 
 }  // namespace bsvc

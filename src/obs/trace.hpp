@@ -22,7 +22,7 @@ namespace bsvc::obs {
 
 enum class TraceKind : std::uint8_t {
   Send,       // payload handed to the transport
-  Drop,       // lost: link filter, random drop, or transcoder rejection
+  Drop,       // lost: fault verdict, random drop, or transcoder rejection
   DeadDest,   // arrived at a dead/removed node
   Deliver,    // reached a live protocol
   TimerFire,  // on_timer about to run

@@ -73,13 +73,11 @@ Address pastry_next_hop(NodeId own, Address own_addr, const LeafSet& leaf,
 
 PastryRouter::PastryRouter(const Engine& engine, SlotRef<BootstrapProtocol> bootstrap_slot,
                            std::size_t max_hops)
-    : PastryRouter(engine, bootstrap_table_access(engine, bootstrap_slot), max_hops) {}
-
-PastryRouter::PastryRouter(const Engine& engine, TableAccess access, std::size_t max_hops)
-    : engine_(engine), access_(std::move(access)), max_hops_(max_hops) {}
+    : engine_(engine), slot_(bootstrap_slot), max_hops_(max_hops) {}
 
 Address PastryRouter::next_hop(Address node, NodeId key) const {
-  if (!access_.active(node)) return node;
+  const BootstrapProtocol& proto = slot_.of(engine_, node);
+  if (!proto.active()) return node;
   // Liveness filter: a real router times out on a dead next hop and falls
   // back to the next-best candidate; the simulator knows liveness directly.
   const std::function<bool(const NodeDescriptor&)> usable =
@@ -88,8 +86,8 @@ Address PastryRouter::next_hop(Address node, NodeId key) const {
                           return d.addr < engine_.node_count() && engine_.is_alive(d.addr);
                         })
                   : nullptr;
-  return pastry_next_hop(engine_.id_of(node), node, access_.leaf(node), access_.prefix(node),
-                         key, usable);
+  return pastry_next_hop(engine_.id_of(node), node, proto.leaf_set(), proto.prefix_table(), key,
+                         usable);
 }
 
 RouteResult PastryRouter::route(Address start, NodeId key,

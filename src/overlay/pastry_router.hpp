@@ -62,9 +62,6 @@ class PastryRouter {
   PastryRouter(const Engine& engine, SlotRef<BootstrapProtocol> bootstrap_slot,
                std::size_t max_hops = 64);
 
-  /// Routes over any protocol exposing leaf set + prefix table.
-  PastryRouter(const Engine& engine, TableAccess access, std::size_t max_hops = 64);
-
   /// When true (default), routing skips table entries whose node is dead —
   /// the simulator's shorthand for timeout-and-try-alternate. Disable to
   /// route blindly over possibly stale tables.
@@ -82,7 +79,7 @@ class PastryRouter {
 
  private:
   const Engine& engine_;
-  TableAccess access_;
+  SlotRef<BootstrapProtocol> slot_;
   std::size_t max_hops_;
   bool avoid_dead_ = true;
 };

@@ -9,11 +9,11 @@ namespace bsvc {
 
 CoordinateSpace::CoordinateSpace(std::size_t node_count, Rng rng, double side,
                                  double base_latency)
-    : rng_(rng), side_(side), base_latency_(base_latency) {
+    : side_(side), base_latency_(base_latency) {
   BSVC_CHECK(side > 0.0);
   points_.reserve(node_count);
   for (std::size_t i = 0; i < node_count; ++i) {
-    points_.push_back({rng_.uniform(0.0, side_), rng_.uniform(0.0, side_)});
+    points_.push_back({rng.uniform(0.0, side_), rng.uniform(0.0, side_)});
   }
 }
 
@@ -22,16 +22,6 @@ SimTime CoordinateSpace::latency(Address a, Address b) const {
   const double dx = points_[a].x - points_[b].x;
   const double dy = points_[a].y - points_[b].y;
   return static_cast<SimTime>(base_latency_ + std::sqrt(dx * dx + dy * dy));
-}
-
-void CoordinateSpace::extend(Address addr) {
-  while (points_.size() <= addr) {
-    points_.push_back({rng_.uniform(0.0, side_), rng_.uniform(0.0, side_)});
-  }
-}
-
-void CoordinateSpace::install(Engine& engine) const {
-  engine.set_latency_model([this](Address a, Address b) { return latency(a, b); });
 }
 
 ProximityRouter::ProximityRouter(const Engine& engine, SlotRef<BootstrapProtocol> bootstrap_slot,

@@ -31,13 +31,6 @@ class CoordinateSpace {
   /// One-way latency between two nodes in ticks.
   SimTime latency(Address a, Address b) const;
 
-  /// Adds a coordinate for a node created after construction.
-  void extend(Address addr);
-
-  /// Installs this space as the engine's latency model. The space must
-  /// outlive the engine's use of it.
-  void install(Engine& engine) const;
-
   double side() const { return side_; }
 
  private:
@@ -45,7 +38,6 @@ class CoordinateSpace {
     double x = 0.0;
     double y = 0.0;
   };
-  mutable Rng rng_;
   double side_;
   double base_latency_;
   std::vector<Point> points_;

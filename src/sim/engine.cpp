@@ -258,12 +258,6 @@ void Engine::send_message(Address from, Address to, ProtocolSlot slot, PayloadRe
   if (trace_ != nullptr) trace_message(obs::TraceKind::Send, from, to, slot, *payload);
   note_span(span_id, obs::SpanTransport::Send);
 
-  if (link_filter_ && !link_filter_(from, to)) {
-    ++tr.messages_dropped;
-    if (trace_ != nullptr) trace_message(obs::TraceKind::Drop, from, to, slot, *payload);
-    note_span(span_id, obs::SpanTransport::Drop);
-    return;
-  }
   // Fault verdict before the base drop: a partition cut or correlated link
   // loss kills the message outright; survivors still face the i.i.d. drop.
   // Every random draw comes from the sender's transport stream — the
@@ -308,8 +302,6 @@ void Engine::send_message(Address from, Address to, ProtocolSlot slot, PayloadRe
     // is NOT advanced, which is fine — determinism only requires that the
     // same trajectory makes the same draws.
     latency = fault.latency;
-  } else if (latency_model_) {
-    latency = latency_model_(from, to) + sender.net_rng.below(transport_.min_latency + 1);
   } else {
     latency = transport_.min_latency +
               sender.net_rng.below(transport_.max_latency - transport_.min_latency + 1);

@@ -58,12 +58,6 @@ struct TransportConfig {
   std::string validate() const;
 };
 
-/// Pairwise one-way base latency between two endpoints, in ticks. When a
-/// model is installed the transport adds a small uniform jitter on top,
-/// drawn from [0, min_latency] of the TransportConfig; used by the proximity
-/// experiments, where latency derives from synthetic network coordinates.
-using LatencyModel = std::function<SimTime(Address, Address)>;
-
 /// Aggregate traffic counters (since construction or last reset).
 struct TrafficStats {
   std::uint64_t messages_sent = 0;       // handed to the transport
@@ -197,15 +191,9 @@ class Engine {
 
   TransportConfig& transport() { return transport_; }
 
-  /// Optional link filter: when set, a message from a->b is silently dropped
-  /// unless the filter returns true. Models network partitions; clearing the
-  /// filter heals the partition (used by the merge experiments).
-  void set_link_filter(std::function<bool(Address, Address)> filter) {
-    link_filter_ = std::move(filter);
-  }
-  void clear_link_filter() { link_filter_ = nullptr; }
-
-  /// Installs a fault model (nullptr uninstalls). Consulted once per send
+  /// Installs a fault model (nullptr uninstalls), the engine's one hook for
+  /// changing traffic: partitions, link loss, latency faults, dark nodes and
+  /// tampering all come through it. Consulted once per send
   /// (drop/latency/duplicate verdict) and once per dispatch (dark-node
   /// query). With no model installed every hook is a single
   /// pointer test and the simulation is bit-identical to the pre-fault
@@ -213,11 +201,6 @@ class Engine {
   /// ownership and must keep the model alive while installed.
   void set_fault_model(FaultModel* model);
   FaultModel* fault_model() const { return fault_; }
-
-  /// Installs a pairwise latency model (nullptr restores the uniform
-  /// default). See LatencyModel.
-  void set_latency_model(LatencyModel model) { latency_model_ = std::move(model); }
-  const LatencyModel& latency_model() const { return latency_model_; }
 
   /// Optional payload transcoder: when set, every payload is passed through
   /// it at delivery time (e.g. a binary encode→decode round trip from
@@ -379,9 +362,7 @@ class Engine {
   // Scheduled-call closures, parked by index like payloads (see
   // event_queue.hpp for the rationale).
   SlotPool<std::function<void(Engine&)>> call_pool_;
-  std::function<bool(Address, Address)> link_filter_;
   std::function<PayloadRef(const Payload&)> transcoder_;
-  LatencyModel latency_model_;
   FaultModel* fault_ = nullptr;
   // Fault-path metric handles, bound when a model is installed.
   obs::Counter* fault_dup_ = nullptr;            // msg.dup

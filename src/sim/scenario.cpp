@@ -1,7 +1,5 @@
 #include "sim/scenario.hpp"
 
-#include <memory>
-
 #include "common/assert.hpp"
 #include "common/logging.hpp"
 
@@ -67,17 +65,5 @@ void schedule_churn(Engine& engine, const ChurnConfig& config, NodeFactory facto
     churn_step(e, config, factory);
   });
 }
-
-void apply_partition(Engine& engine, std::vector<std::uint32_t> group_of) {
-  auto groups = std::make_shared<std::vector<std::uint32_t>>(std::move(group_of));
-  engine.set_link_filter([groups](Address from, Address to) {
-    const auto g = [&](Address a) -> std::uint32_t {
-      return a < groups->size() ? (*groups)[a] : 0u;
-    };
-    return g(from) == g(to);
-  });
-}
-
-void heal_partition(Engine& engine) { engine.clear_link_filter(); }
 
 }  // namespace bsvc

@@ -1,11 +1,10 @@
 // Scenario scripting: the "radical events" of the paper's vision — churn,
-// catastrophic failure, massive joins, partitions and merges — expressed as
-// scheduled manipulations of the engine.
+// catastrophic failure and massive joins — expressed as scheduled
+// manipulations of the engine. Partitions and merges are FaultPlan
+// partitions (fault/fault_plan.hpp): a cut whose window closes at the merge.
 #pragma once
 
-#include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "sim/engine.hpp"
 
@@ -33,13 +32,5 @@ struct ChurnConfig {
 };
 
 void schedule_churn(Engine& engine, const ChurnConfig& config, NodeFactory factory);
-
-/// Partitions the network into groups: messages crossing group boundaries
-/// are dropped until heal_partition() is called. `group_of[addr]` assigns
-/// each existing address a group id; nodes added later default to group 0.
-void apply_partition(Engine& engine, std::vector<std::uint32_t> group_of);
-
-/// Removes the partition filter (the "merge" event).
-void heal_partition(Engine& engine);
 
 }  // namespace bsvc

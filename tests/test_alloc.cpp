@@ -116,7 +116,8 @@ TEST_F(AllocationRegression, NewscastExchangeAndSampleAreAllocationFree) {
   Context at_responder(engine, 1, slot);
   // Drop every send: the responder still builds its answer and hands it to
   // the transport, but no delivery is queued for the engine to grow into.
-  engine.set_link_filter([](Address, Address) { return false; });
+  const double drop_before = engine.transport().drop_probability;
+  engine.transport().drop_probability = 1.0;
 
   // Each message as its sender builds it: the view plus a fresh self
   // entry. The request also carries an entry at an address far beyond the
@@ -162,7 +163,7 @@ TEST_F(AllocationRegression, NewscastExchangeAndSampleAreAllocationFree) {
   const std::uint64_t sample_allocs = g_alloc_count.load() - before;
   EXPECT_EQ(sample_allocs, 0u) << "sample_into(30) allocates "
                                << static_cast<double>(sample_allocs) / kCalls << " times";
-  engine.clear_link_filter();
+  engine.transport().drop_probability = drop_before;
 }
 
 TEST_F(AllocationRegression, SteadyStateExchangesStayWithinPinnedBudget) {

@@ -169,24 +169,6 @@ TEST(Engine, RunUntilAdvancesClockEvenWithoutEvents) {
   EXPECT_EQ(e.now(), 77u);
 }
 
-TEST(Engine, LinkFilterBlocksAndHeals) {
-  Engine e(1);
-  const Address a = e.add_node(1);
-  const Address b = e.add_node(2);
-  e.attach(a, std::make_unique<Recorder>());
-  e.attach(b, std::make_unique<Recorder>());
-  e.start_node(a);
-  e.start_node(b);
-  e.set_link_filter([](Address, Address) { return false; });
-  e.send_message(a, b, 0, std::make_unique<IntPayload>(1));
-  e.run_until(100);
-  EXPECT_EQ(recorder_at(e, b).events.size(), 1u);
-  e.clear_link_filter();
-  e.send_message(a, b, 0, std::make_unique<IntPayload>(2));
-  e.run_until(500);  // past the maximum transport latency
-  EXPECT_EQ(recorder_at(e, b).events.size(), 2u);
-}
-
 TEST(Engine, DeterministicAcrossRuns) {
   const auto trace = [](std::uint64_t seed) {
     TransportConfig t;

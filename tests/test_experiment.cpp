@@ -101,8 +101,9 @@ TEST(Experiment, InitialGroupsIsolatePools) {
   cfg.seed = 9;
   cfg.max_cycles = 40;
   cfg.stop_at_convergence = false;
-  cfg.initial_groups.resize(256);
-  for (Address a = 0; a < 256; ++a) cfg.initial_groups[a] = a < 128 ? 0 : 1;
+  // A cut at 128 from t=0 that never heals: its window ends past the run.
+  const SimTime past_the_run = (cfg.warmup_cycles + cfg.max_cycles + 1) * cfg.bootstrap.delta;
+  cfg.fault_plan.partitions.push_back({{0, past_the_run}, PartitionSpec::Kind::Cut, 128});
   BootstrapExperiment exp(cfg);
   exp.run();
   // No node of pool A ever learned a pool-B descriptor (and vice versa).

@@ -1,4 +1,4 @@
-// Fault-injection layer (src/fault): plan parsing and validation, partition
+// Fault-injection layer (src/fault): plan validation, partition
 // symmetry, crash–recover semantics, duplication/reordering gating, the
 // no-perturbation guarantee for inactive plans, cross-thread determinism of
 // FaultPlan runs, and the bootstrap per-exchange timeout wiring.
@@ -17,75 +17,6 @@
 
 namespace bsvc {
 namespace {
-
-// --- plan parsing --------------------------------------------------------
-
-TEST(FaultPlanParse, FullTextRoundTrip) {
-  const char* text = R"(# a hostile afternoon
-seed 99
-partition 1000..2000 cut=512
-partition 3000..4000 mod=4
-loss 0..5000 p=0.25
-loss 100..200 p=1 from=7 to=9   # asymmetric: only 7 -> 9
-delay 500..600 add=250
-pareto 700..800 scale=80 alpha=1.5 cap=4000
-dup 0..1000 p=0.05 jitter=50
-reorder 0..1000 p=0.2 delay=300
-crash 100..900 addr=3
-crash 200..400 frac=0.25
-)";
-  FaultPlan plan;
-  std::string error;
-  ASSERT_TRUE(parse_fault_plan(text, plan, error)) << error;
-  EXPECT_EQ(plan.seed, 99u);
-  ASSERT_EQ(plan.partitions.size(), 2u);
-  EXPECT_EQ(plan.partitions[0].kind, PartitionSpec::Kind::Cut);
-  EXPECT_EQ(plan.partitions[0].value, 512u);
-  EXPECT_EQ(plan.partitions[0].window.start, 1000u);
-  EXPECT_EQ(plan.partitions[0].window.end, 2000u);
-  EXPECT_EQ(plan.partitions[1].kind, PartitionSpec::Kind::Modulo);
-  EXPECT_EQ(plan.partitions[1].value, 4u);
-  ASSERT_EQ(plan.link_loss.size(), 2u);
-  EXPECT_EQ(plan.link_loss[0].from, kNullAddress);
-  EXPECT_EQ(plan.link_loss[1].from, 7u);
-  EXPECT_EQ(plan.link_loss[1].to, 9u);
-  EXPECT_DOUBLE_EQ(plan.link_loss[1].drop_probability, 1.0);
-  ASSERT_EQ(plan.latency.size(), 2u);
-  EXPECT_EQ(plan.latency[0].mode, LatencySpec::Mode::Spike);
-  EXPECT_EQ(plan.latency[0].add, 250u);
-  EXPECT_EQ(plan.latency[1].mode, LatencySpec::Mode::Pareto);
-  EXPECT_DOUBLE_EQ(plan.latency[1].scale, 80.0);
-  EXPECT_DOUBLE_EQ(plan.latency[1].alpha, 1.5);
-  EXPECT_EQ(plan.latency[1].effective_cap(), 4000u);
-  ASSERT_EQ(plan.duplicates.size(), 1u);
-  EXPECT_EQ(plan.duplicates[0].jitter, 50u);
-  ASSERT_EQ(plan.reorders.size(), 1u);
-  EXPECT_EQ(plan.reorders[0].max_delay, 300u);
-  ASSERT_EQ(plan.crashes.size(), 2u);
-  EXPECT_EQ(plan.crashes[0].addr, 3u);
-  EXPECT_DOUBLE_EQ(plan.crashes[1].fraction, 0.25);
-  EXPECT_FALSE(plan.empty());
-}
-
-TEST(FaultPlanParse, ErrorsCarryLineNumbers) {
-  FaultPlan plan;
-  std::string error;
-  EXPECT_FALSE(parse_fault_plan("seed 1\nbogus 0..10 p=1\n", plan, error));
-  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
-  EXPECT_NE(error.find("bogus"), std::string::npos) << error;
-
-  EXPECT_FALSE(parse_fault_plan("loss 10 p=0.5\n", plan, error));
-  EXPECT_NE(error.find("window"), std::string::npos) << error;
-
-  EXPECT_FALSE(parse_fault_plan("loss 0..10\n", plan, error));
-  EXPECT_NE(error.find("p="), std::string::npos) << error;
-
-  EXPECT_FALSE(parse_fault_plan("crash 0..10 addr=1 frac=0.5\n", plan, error));
-  EXPECT_NE(error.find("exactly one"), std::string::npos) << error;
-
-  EXPECT_FALSE(parse_fault_plan("dup 0..10 p=abc\n", plan, error));
-  EXPECT_NE(error.find("number"), std::string::npos) << error;
-}
 
 TEST(FaultPlanValidate, RejectsMalformedSpecs) {
   FaultPlan plan;
@@ -568,12 +499,15 @@ TEST(TransportValidationDeathTest, ExperimentSetupRejectsBadDrop) {
               "drop_probability");
 }
 
-TEST(TransportValidationDeathTest, ExperimentSetupRejectsBadPlanFile) {
+TEST(TransportValidationDeathTest, ExperimentSetupRejectsInvalidPlan) {
   ExperimentConfig cfg;
   cfg.n = 8;
-  cfg.fault_plan_path = "/nonexistent/plan.txt";
+  LinkLossSpec loss;
+  loss.window = {0, 1000};
+  loss.drop_probability = 1.5;
+  cfg.fault_plan.link_loss.push_back(loss);
   EXPECT_EXIT({ BootstrapExperiment exp(cfg); }, ::testing::ExitedWithCode(2),
-              "cannot open");
+              "invalid fault plan: loss p=1\\.5.* outside \\[0, 1\\]");
 }
 
 }  // namespace

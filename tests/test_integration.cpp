@@ -5,9 +5,7 @@
 #include "core/experiment.hpp"
 #include "overlay/chord.hpp"
 #include "overlay/pastry_router.hpp"
-#include "overlay/proximity.hpp"
 #include "sampling/oracle_sampler.hpp"
-#include "sim/scenario.hpp"
 #include "wire/message_codec.hpp"
 
 namespace bsvc {
@@ -31,20 +29,6 @@ TEST(Integration, WireTranscoderPlusDropPlusChurn) {
   ASSERT_EQ(result.series.rows(), 40u);
   EXPECT_LT(result.series.at(39, 1), 0.25);
   EXPECT_LT(result.series.at(39, 2), 0.25);
-}
-
-TEST(Integration, CoordinateLatencyDoesNotBreakConvergence) {
-  // Replace the uniform transport latency with coordinate-derived delays;
-  // the protocol is latency-agnostic as long as request+answer fit in Δ.
-  ExperimentConfig cfg;
-  cfg.n = 512;
-  cfg.seed = 22;
-  cfg.max_cycles = 60;
-  BootstrapExperiment exp(cfg);
-  CoordinateSpace space(exp.engine().node_count(), Rng(5), /*side=*/300.0, /*base=*/10.0);
-  space.install(exp.engine());
-  const auto result = exp.run();
-  EXPECT_GE(result.converged_cycle, 0);
 }
 
 TEST(Integration, ChordSurvivesWireRoundtrip) {
@@ -73,22 +57,21 @@ TEST(Integration, TwoPoolMergeEndToEnd) {
   cfg.seed = 24;
   cfg.max_cycles = 90;
   cfg.stop_at_convergence = true;
-  cfg.initial_groups.resize(kN);
-  for (Address a = 0; a < kN; ++a) cfg.initial_groups[a] = a < kN / 2 ? 0 : 1;
+  // Two pools cut apart from t=0 until the merge at bootstrap cycle 25.
+  const SimTime heal_time = (cfg.warmup_cycles + 25) * cfg.bootstrap.delta;
+  cfg.fault_plan.partitions.push_back(
+      {{0, heal_time}, PartitionSpec::Kind::Cut, static_cast<std::uint32_t>(kN / 2)});
   BootstrapExperiment exp(cfg);
   Engine& engine = exp.engine();
   const auto newscast_slot = exp.newscast_slot();
-  engine.schedule_call((cfg.warmup_cycles + 25) * cfg.bootstrap.delta,
-                       [newscast_slot](Engine& e) {
-                         heal_partition(e);
-                         for (int i = 0; i < 8; ++i) {
-                           const auto a = static_cast<Address>(e.rng().below(kN / 2));
-                           const auto b =
-                               static_cast<Address>(kN / 2 + e.rng().below(kN / 2));
-                           dynamic_cast<NewscastProtocol&>(e.protocol(a, newscast_slot))  // test-only checked cast
-                               .add_contact(e.descriptor_of(b), e.now());
-                         }
-                       });
+  engine.schedule_call(heal_time, [newscast_slot](Engine& e) {
+    for (int i = 0; i < 8; ++i) {
+      const auto a = static_cast<Address>(e.rng().below(kN / 2));
+      const auto b = static_cast<Address>(kN / 2 + e.rng().below(kN / 2));
+      dynamic_cast<NewscastProtocol&>(e.protocol(a, newscast_slot))  // test-only checked cast
+          .add_contact(e.descriptor_of(b), e.now());
+    }
+  });
   const auto result = exp.run();
   ASSERT_GE(result.converged_cycle, 25);
   // Lookups across the former partition boundary succeed.

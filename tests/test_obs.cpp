@@ -470,8 +470,8 @@ std::string slurp(const std::string& path) {
 }
 
 TEST(ObsExperiment, TraceFilesAreByteIdenticalAcrossThreadCounts) {
-  // The same seeds traced sequentially and on a thread pool must produce
-  // byte-identical JSONL (each replica owns its engine and its file).
+  // The same seeds traced sequentially and across parallel_map lanes must
+  // produce byte-identical JSONL (each replica owns its engine and its file).
   const std::string dir = ::testing::TempDir();
   const auto run_with = [&](const std::string& tag, std::size_t threads) {
     std::vector<std::uint64_t> seeds{31, 32, 33};

@@ -1,4 +1,4 @@
-// Thread-pool and parallel-map semantics that the replica harness leans on:
+// parallel_for / parallel_map semantics that the replica harness leans on:
 // full coverage of the index range, results in input order, exception
 // propagation, and graceful handling of degenerate shapes (zero items, more
 // threads than items, single thread).
@@ -18,28 +18,6 @@ namespace bsvc {
 namespace {
 
 TEST(HardwareThreads, AtLeastOne) { EXPECT_GE(hardware_threads(), 1u); }
-
-TEST(ThreadPool, RunsAllSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([&count] { ++count; });
-  pool.wait();
-  EXPECT_EQ(count.load(), 1);
-  pool.submit([&count] { ++count; });
-  pool.submit([&count] { ++count; });
-  pool.wait();
-  EXPECT_EQ(count.load(), 3);
-}
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   for (const std::size_t threads : {1u, 2u, 4u, 16u}) {

@@ -7,9 +7,10 @@
 //    semantics inline and is the golden reference);
 //  - a fixed (seed, K) is bit-reproducible across repeated runs, whatever
 //    the thread scheduler does;
-//  - fault plans (partitions, crash-recover, loss/dup) and Byzantine
-//    tampering produce identical outcomes across shard counts, because every
-//    verdict draw comes from the sending node's own stream;
+//  - fault plans (partitions, crash-recover, loss/dup), a merge from a
+//    t = 0 partition, and Byzantine tampering produce identical outcomes
+//    across shard counts, because every verdict draw comes from the sending
+//    node's own stream;
 //  - the Oracle sampler, which reads global liveness from inside windows,
 //    is K-invariant too (liveness only changes at barriers).
 #include <gtest/gtest.h>
@@ -119,6 +120,55 @@ TEST(ParallelEngine, FaultPlanOutcomesIdenticalAcrossShardCounts) {
   for (const std::size_t k : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
     const ExperimentResult result = run_one(faulted_config(k));
     expect_same_result(reference, result, ("faulted K=" + std::to_string(k)).c_str());
+  }
+}
+
+// --- a t = 0 partition healed into a merge -------------------------------
+
+struct MergeOutcome {
+  ExperimentResult result;
+  std::uint64_t cut = 0;  // fault.partition.dropped
+};
+
+constexpr std::size_t kMergeHealCycle = 12;
+
+// Two pools of 128, seeded apart and cut from the first tick; at the heal a
+// few pool-A nodes are handed pool-B contacts, as in bench/merge_split.
+// Seeded apart, the pools never address each other, so one pool-B contact
+// also leaks into pool A halfway through the cut: the cut must drop every
+// send to it until the heal.
+MergeOutcome run_merge(std::size_t shards) {
+  ExperimentConfig cfg = small_config(shards);
+  const SimTime heal_time = (cfg.warmup_cycles + kMergeHealCycle) * cfg.bootstrap.delta;
+  cfg.fault_plan.partitions.push_back({{0, heal_time}, PartitionSpec::Kind::Cut, 128});
+  BootstrapExperiment exp(cfg);
+  const auto newscast_slot = exp.newscast_slot();
+  const auto hand_out = [newscast_slot](int contacts) {
+    return [newscast_slot, contacts](Engine& e) {
+      for (int i = 0; i < contacts; ++i) {
+        const auto a = static_cast<Address>(e.rng().below(128));
+        const auto b = static_cast<Address>(128 + e.rng().below(128));
+        newscast_slot.of(e, a).add_contact(e.descriptor_of(b), e.now());
+      }
+    };
+  };
+  exp.engine().schedule_call(heal_time / 2, hand_out(1));
+  exp.engine().schedule_call(heal_time, hand_out(8));
+  MergeOutcome out;
+  out.result = exp.run();
+  out.cut = exp.engine().metrics().counter("fault.partition.dropped").value();
+  return out;
+}
+
+TEST(ParallelEngine, MergeScenarioIdenticalAcrossShardCounts) {
+  const MergeOutcome reference = run_merge(1);
+  // The cut must bite, and the union must converge only after the heal.
+  EXPECT_GT(reference.cut, 0u);
+  EXPECT_GT(reference.result.converged_cycle, static_cast<int>(kMergeHealCycle));
+  for (const std::size_t k : {std::size_t{2}, std::size_t{4}}) {
+    const MergeOutcome other = run_merge(k);
+    expect_same_result(reference.result, other.result, ("merge K=" + std::to_string(k)).c_str());
+    EXPECT_EQ(reference.cut, other.cut);
   }
 }
 

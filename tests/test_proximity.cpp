@@ -24,40 +24,6 @@ TEST(CoordinateSpace, SelfLatencyIsBase) {
   EXPECT_EQ(space.latency(3, 3), 25u);
 }
 
-TEST(CoordinateSpace, ExtendAddsCoordinates) {
-  CoordinateSpace space(5, Rng(3));
-  space.extend(9);
-  EXPECT_GT(space.latency(9, 0), 0u);
-}
-
-TEST(CoordinateSpace, InstallDrivesEngineTransport) {
-  CoordinateSpace space(2, Rng(4), 1000.0, 200.0);
-  TransportConfig t;
-  t.min_latency = 1;  // the smallest lookahead: jitter is 0 or 1 tick
-  Engine engine(5, t);
-  engine.add_node(1);
-  engine.add_node(2);
-  space.install(engine);
-
-  struct Probe final : public Payload {
-    std::size_t wire_bytes() const override { return 1; }
-    const char* type_name() const override { return "probe"; }
-  };
-  struct Sink final : public Protocol {
-    SimTime delivered_at = 0;
-    void on_message(Context& ctx, Address, const Payload&) override {
-      delivered_at = ctx.now();
-    }
-  };
-  engine.attach(1, std::make_unique<Sink>());
-  engine.start_node(1);
-  engine.send_message(0, 1, 0, std::make_unique<Probe>());
-  engine.run_all();
-  const auto& sink = dynamic_cast<const Sink&>(engine.protocol(1, 0));  // test-only checked cast
-  EXPECT_GE(sink.delivered_at, space.latency(0, 1));
-  EXPECT_LE(sink.delivered_at, space.latency(0, 1) + 1);
-}
-
 struct ProxNet {
   BootstrapExperiment exp;
   CoordinateSpace space;

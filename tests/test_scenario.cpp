@@ -97,27 +97,5 @@ TEST(Churn, StopsAtConfiguredEnd) {
   EXPECT_EQ(e.alive_count(), after_stop);
 }
 
-TEST(Partition, BlocksCrossGroupTrafficUntilHealed) {
-  auto net = make_engine(4);
-  Engine& e = *net;
-  std::vector<std::uint32_t> groups{0, 0, 1, 1};
-  apply_partition(e, groups);
-
-  struct Probe final : public Payload {
-    std::size_t wire_bytes() const override { return 1; }
-    const char* type_name() const override { return "probe"; }
-  };
-  e.send_message(0, 1, 0, std::make_unique<Probe>());  // same group
-  e.send_message(0, 2, 0, std::make_unique<Probe>());  // cross group
-  e.run_until(1000);
-  EXPECT_EQ(e.traffic().messages_delivered, 1u);
-  EXPECT_EQ(e.traffic().messages_dropped, 1u);
-
-  heal_partition(e);
-  e.send_message(0, 2, 0, std::make_unique<Probe>());
-  e.run_until(2000);
-  EXPECT_EQ(e.traffic().messages_delivered, 2u);
-}
-
 }  // namespace
 }  // namespace bsvc
