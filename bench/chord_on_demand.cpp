@@ -41,7 +41,7 @@ struct ChordNet {
       nc->init_view(std::move(seeds));
       engine->attach(a, std::move(newscast));
       engine->attach(a, std::make_unique<ChordBootstrapProtocol>(
-                            ChordConfig{}, nc, epoch + engine->rng().below(kDelta)));
+                            nc, epoch + engine->rng().below(kDelta)));
       engine->start_node(a);
     }
     engine->run_until(epoch);

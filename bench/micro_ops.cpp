@@ -46,23 +46,17 @@ void BM_UpdateLeafSet(benchmark::State& state) {
 BENCHMARK(BM_UpdateLeafSet)->Arg(20)->Arg(60)->Arg(120);
 
 void BM_LeafScanSoA(benchmark::State& state) {
-  // The hot ring-distance scan over a leaf set's contiguous NodeId lane (the
-  // arena-backed SoA layout): 8 bytes per element, no interleaved addresses.
+  // The hot ring-distance scan over a table's contiguous NodeId lane (the
+  // SoA layout LeafSet and PrefixTable use): 8 bytes per element, no
+  // interleaved addresses.
   const auto n = static_cast<std::size_t>(state.range(0));
-  DescriptorArena arena;
-  const auto block = arena.allocate(static_cast<std::uint32_t>(n));
   const auto pool = members(n + 1);
   const NodeId pivot = pool[0].id;
-  for (std::size_t i = 0; i < n; ++i) {
-    arena.ids(block)[i] = pool[i + 1].id;
-    arena.addrs(block)[i] = pool[i + 1].addr;
-  }
+  std::vector<NodeId> ids(n);
+  for (std::size_t i = 0; i < n; ++i) ids[i] = pool[i + 1].id;
   for (auto _ : state) {
-    const NodeId* ids = arena.ids(block);
     NodeId best = ~NodeId{0};
-    for (std::size_t i = 0; i < n; ++i) {
-      best = std::min(best, successor_distance(pivot, ids[i]));
-    }
+    for (const NodeId id : ids) best = std::min(best, successor_distance(pivot, id));
     benchmark::DoNotOptimize(best);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -89,33 +83,6 @@ void BM_LeafScanAoS(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_LeafScanAoS)->Arg(20)->Arg(256)->Arg(4096);
-
-void BM_ArenaAllocVsHeap(benchmark::State& state) {
-  // A node's table-construction storage: leaf block (c=20) plus prefix block
-  // (first doubling tier). Arg(0): bump allocation out of a warm
-  // DescriptorArena — two pointer bumps, no allocator. Arg(1): the seed
-  // path's cost, two heap vectors per construction.
-  const bool heap = state.range(0) != 0;
-  DescriptorArena arena;
-  arena.allocate(20 + 16);  // warm the slabs
-  arena.reset();
-  for (auto _ : state) {
-    if (heap) {
-      std::vector<NodeId> ids(20 + 16);
-      std::vector<Address> addrs(20 + 16);
-      benchmark::DoNotOptimize(ids.data());
-      benchmark::DoNotOptimize(addrs.data());
-    } else {
-      const auto leaf = arena.allocate(20);
-      const auto prefix = arena.allocate(16);
-      benchmark::DoNotOptimize(arena.ids(leaf));
-      benchmark::DoNotOptimize(arena.ids(prefix));
-      arena.reset();
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ArenaAllocVsHeap)->Arg(0)->Arg(1);
 
 void BM_UpdatePrefixTable(benchmark::State& state) {
   const auto batch_size = static_cast<std::size_t>(state.range(0));

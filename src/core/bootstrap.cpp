@@ -159,15 +159,8 @@ void BootstrapProtocol::on_exchange_timeout(Context& ctx, std::uint64_t seq) {
 }
 
 void BootstrapProtocol::init_tables(Context& /*ctx*/) {
-  // Order matters: drop both tables' handles, rewind the arena, then
-  // reconstruct. The leaf block (fixed capacity c) is allocated first and
-  // the prefix block last, so prefix growth always doubles in place at the
-  // arena tip. On a restart the slabs are already sized — no allocation.
-  leaf_.reset();
-  prefix_.reset();
-  arena_.reset();
-  leaf_.emplace(self_.id, config_.c, &arena_);
-  prefix_.emplace(self_.id, config_.digits, config_.k, &arena_);
+  leaf_.emplace(self_.id, config_.c);
+  prefix_.emplace(self_.id, config_.digits, config_.k);
   const DescriptorList seeds = sampler_->sample(config_.c);
   leaf_->update(seeds);
 }

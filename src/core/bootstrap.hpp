@@ -18,7 +18,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "common/arena.hpp"
 #include "common/pool.hpp"
 #include "common/rtt.hpp"
 #include "common/stats.hpp"
@@ -256,10 +255,6 @@ class BootstrapProtocol final : public Protocol {
   obs::Counter* ctr_pin_mismatch_ = nullptr;    // bootstrap.pin_mismatch
   SimTime start_delay_;
   NodeDescriptor self_{};
-  // Backs both tables' descriptor storage (SoA lanes; see common/arena.hpp).
-  // Declared before the tables so it outlives them, and reset() on every
-  // (re)initialization — handle invalidation is confined to init_tables.
-  DescriptorArena arena_;
   std::optional<LeafSet> leaf_;
   std::optional<PrefixTable> prefix_;
   bool chain_started_ = false;

@@ -205,7 +205,7 @@ ExperimentResult BootstrapExperiment::run(
       result.prefix_converged_cycle = static_cast<int>(cycle);
     }
     if (metrics.converged()) {
-      result.converged_cycle = static_cast<int>(cycle);
+      if (result.converged_cycle < 0) result.converged_cycle = static_cast<int>(cycle);
       if (config_.stop_at_convergence && !churn) break;
     }
   }

@@ -98,7 +98,9 @@ struct ExperimentResult {
   /// Columns: cycle, missing_leaf, missing_prefix, alive, msgs_sent_total,
   /// bytes_sent_total (cumulative engine traffic at end of cycle).
   TimeSeries series{{"cycle", "missing_leaf", "missing_prefix", "alive", "msgs", "bytes"}};
-  int leaf_converged_cycle = -1;    // -1: not within max_cycles
+  /// First cycle whose leaf sets, prefix tables, or both are perfect; -1:
+  /// none within max_cycles. Later cycles may lose and regain perfection.
+  int leaf_converged_cycle = -1;
   int prefix_converged_cycle = -1;
   int converged_cycle = -1;
   std::size_t n = 0;

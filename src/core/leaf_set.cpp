@@ -42,78 +42,8 @@ void offer(std::vector<NodeDescriptor>& side, std::size_t cap, const NodeDescrip
 }  // namespace
 
 LeafSet::LeafSet(NodeId own, std::size_t capacity)
-    : own_(own),
-      capacity_(capacity),
-      arena_(&own_arena_),
-      block_(arena_->allocate(static_cast<std::uint32_t>(capacity))) {
+    : own_(own), ids_(capacity), addrs_(capacity) {
   BSVC_CHECK(capacity >= 2);
-}
-
-LeafSet::LeafSet(NodeId own, std::size_t capacity, DescriptorArena* arena)
-    : own_(own),
-      capacity_(capacity),
-      arena_(arena),
-      block_(arena_->allocate(static_cast<std::uint32_t>(capacity))) {
-  BSVC_CHECK(capacity >= 2);
-  BSVC_CHECK(arena != nullptr);
-}
-
-void LeafSet::copy_from(const LeafSet& other) {
-  own_ = other.own_;
-  capacity_ = other.capacity_;
-  succ_count_ = other.succ_count_;
-  pred_count_ = other.pred_count_;
-  std::copy_n(other.ids(), other.size(), ids());
-  std::copy_n(other.addrs(), other.size(), addrs());
-}
-
-LeafSet::LeafSet(const LeafSet& other)
-    : own_(other.own_),
-      capacity_(other.capacity_),
-      arena_(&own_arena_),
-      block_(arena_->allocate(static_cast<std::uint32_t>(other.capacity_))) {
-  copy_from(other);
-}
-
-LeafSet& LeafSet::operator=(const LeafSet& other) {
-  if (this == &other) return *this;
-  // Copies always land in the private arena: an externally-backed set's
-  // block capacity is tied to its own `capacity`, not the source's.
-  own_arena_.reset();
-  arena_ = &own_arena_;
-  block_ = arena_->allocate(static_cast<std::uint32_t>(other.capacity_));
-  copy_from(other);
-  return *this;
-}
-
-LeafSet::LeafSet(LeafSet&& other) noexcept
-    : own_(other.own_),
-      capacity_(other.capacity_),
-      own_arena_(std::move(other.own_arena_)),
-      arena_(other.arena_ == &other.own_arena_ ? &own_arena_ : other.arena_),
-      block_(other.block_),
-      succ_count_(other.succ_count_),
-      pred_count_(other.pred_count_) {
-  other.arena_ = &other.own_arena_;
-  other.block_ = {};
-  other.succ_count_ = 0;
-  other.pred_count_ = 0;
-}
-
-LeafSet& LeafSet::operator=(LeafSet&& other) noexcept {
-  if (this == &other) return *this;
-  own_ = other.own_;
-  capacity_ = other.capacity_;
-  own_arena_ = std::move(other.own_arena_);
-  arena_ = other.arena_ == &other.own_arena_ ? &own_arena_ : other.arena_;
-  block_ = other.block_;
-  succ_count_ = other.succ_count_;
-  pred_count_ = other.pred_count_;
-  other.arena_ = &other.own_arena_;
-  other.block_ = {};
-  other.succ_count_ = 0;
-  other.pred_count_ = 0;
-  return *this;
 }
 
 void LeafSet::update(std::span<const NodeDescriptor> incoming) {
@@ -129,48 +59,45 @@ void LeafSet::update(std::span<const NodeDescriptor> incoming) {
   succ.assign(cur_succ.begin(), cur_succ.end());
   pred.assign(cur_pred.begin(), cur_pred.end());
   const NodeId own = own_;
+  const std::size_t cap = capacity();
   for (const auto& d : incoming) {
     if (d.id == own || d.addr == kNullAddress) continue;
     if (is_successor(own, d.id)) {
-      offer(succ, capacity_, d, [own](NodeId id) { return successor_distance(own, id); });
+      offer(succ, cap, d, [own](NodeId id) { return successor_distance(own, id); });
     } else {
-      offer(pred, capacity_, d, [own](NodeId id) { return predecessor_distance(own, id); });
+      offer(pred, cap, d, [own](NodeId id) { return predecessor_distance(own, id); });
     }
   }
 
   // Keep c/2 closest per direction; spare capacity from a short side tops up
   // the other ("filled with the closest elements in the other direction").
-  const std::size_t half = capacity_ / 2;
+  const std::size_t half = cap / 2;
   std::size_t take_s = std::min(succ.size(), half);
   std::size_t take_p = std::min(pred.size(), half);
-  std::size_t spare = capacity_ - take_s - take_p;
+  std::size_t spare = cap - take_s - take_p;
   const std::size_t extra_s = std::min(succ.size() - take_s, spare);
   take_s += extra_s;
   spare -= extra_s;
   take_p += std::min(pred.size() - take_p, spare);
 
-  NodeId* ids_p = ids();
-  Address* addrs_p = addrs();
   for (std::size_t i = 0; i < take_s; ++i) {
-    ids_p[i] = succ[i].id;
-    addrs_p[i] = succ[i].addr;
+    ids_[i] = succ[i].id;
+    addrs_[i] = succ[i].addr;
   }
   for (std::size_t i = 0; i < take_p; ++i) {
-    ids_p[take_s + i] = pred[i].id;
-    addrs_p[take_s + i] = pred[i].addr;
+    ids_[take_s + i] = pred[i].id;
+    addrs_[take_s + i] = pred[i].addr;
   }
-  succ_count_ = static_cast<std::uint32_t>(take_s);
-  pred_count_ = static_cast<std::uint32_t>(take_p);
+  succ_count_ = take_s;
+  pred_count_ = take_p;
 }
 
 bool LeafSet::remove(NodeId id) {
-  NodeId* ids_p = ids();
-  Address* addrs_p = addrs();
   const std::size_t n = size();
   for (std::size_t i = 0; i < n; ++i) {
-    if (ids_p[i] != id) continue;
-    std::copy(ids_p + i + 1, ids_p + n, ids_p + i);
-    std::copy(addrs_p + i + 1, addrs_p + n, addrs_p + i);
+    if (ids_[i] != id) continue;
+    std::copy(ids_.begin() + i + 1, ids_.begin() + n, ids_.begin() + i);
+    std::copy(addrs_.begin() + i + 1, addrs_.begin() + n, addrs_.begin() + i);
     if (i < succ_count_) {
       --succ_count_;
     } else {
@@ -205,12 +132,8 @@ DescriptorList LeafSet::sorted_by_ring_distance() const {
 }
 
 bool LeafSet::contains(NodeId id) const {
-  const NodeId* ids_p = ids();
-  const std::size_t n = size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (ids_p[i] == id) return true;
-  }
-  return false;
+  const auto live = ids_.begin() + static_cast<std::ptrdiff_t>(size());
+  return std::find(ids_.begin(), live, id) != live;
 }
 
 }  // namespace bsvc

@@ -8,12 +8,12 @@
 // one ID arrives under two addresses, the first occurrence wins: a current
 // entry, else the earliest in the incoming list.
 //
-// Storage is struct-of-arrays in a DescriptorArena block (successors first,
-// then predecessors): the hot ring-distance scans stream the contiguous
-// NodeId lane, and a steady-state UPDATELEAFSET allocates nothing —
-// candidates stage through thread-local scratch and the result is written
-// back into the fixed-capacity block. Accessors hand out DescriptorView
-// (values materialized on read); views are invalidated by any mutation.
+// Storage is struct-of-arrays, two c-slot lanes sized once at construction
+// (successors first, then predecessors): the hot ring-distance scans stream
+// the contiguous NodeId lane, and a steady-state UPDATELEAFSET allocates
+// nothing — candidates stage through thread-local scratch and the result is
+// written back into the lanes. Accessors hand out DescriptorView (values
+// materialized on read); views are invalidated by any mutation.
 #pragma once
 
 #include <cstddef>
@@ -21,7 +21,6 @@
 #include <span>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "id/descriptor.hpp"
 #include "id/ring.hpp"
 
@@ -30,18 +29,8 @@ namespace bsvc {
 class LeafSet {
  public:
   /// `capacity` is the paper's c; it need not be even, the odd slot floats
-  /// to whichever direction has more candidates. Self-backed: entries live
-  /// in a private arena.
+  /// to whichever direction has more candidates.
   LeafSet(NodeId own, std::size_t capacity);
-  /// Entries live in `arena` (not owned; must outlive the set). The block is
-  /// allocated at construction and never grows — capacity is fixed.
-  LeafSet(NodeId own, std::size_t capacity, DescriptorArena* arena);
-
-  LeafSet(const LeafSet& other);
-  LeafSet& operator=(const LeafSet& other);
-  LeafSet(LeafSet&& other) noexcept;
-  LeafSet& operator=(LeafSet&& other) noexcept;
-  ~LeafSet() = default;
 
   /// UPDATELEAFSET: tries to improve the set with the given descriptors.
   /// Descriptors equal to the own ID and null addresses are ignored.
@@ -52,13 +41,13 @@ class LeafSet {
   bool remove(NodeId id);
 
   /// Successors sorted by increasing successor-direction distance.
-  DescriptorView successors() const { return {ids(), addrs(), succ_count_}; }
+  DescriptorView successors() const { return {ids_.data(), addrs_.data(), succ_count_}; }
   /// Predecessors sorted by increasing predecessor-direction distance.
   DescriptorView predecessors() const {
-    return {ids() + succ_count_, addrs() + succ_count_, pred_count_};
+    return {ids_.data() + succ_count_, addrs_.data() + succ_count_, pred_count_};
   }
   /// All entries (successors then predecessors; no duplicates), zero-copy.
-  DescriptorView all_view() const { return {ids(), addrs(), size()}; }
+  DescriptorView all_view() const { return {ids_.data(), addrs_.data(), size()}; }
 
   /// All entries (successors then predecessors; no duplicates).
   DescriptorList all() const;
@@ -70,24 +59,15 @@ class LeafSet {
   bool contains(NodeId id) const;
   std::size_t size() const { return succ_count_ + pred_count_; }
   bool empty() const { return size() == 0; }
-  std::size_t capacity() const { return capacity_; }
+  std::size_t capacity() const { return ids_.size(); }
   NodeId own_id() const { return own_; }
 
  private:
-  void copy_from(const LeafSet& other);
-
-  const NodeId* ids() const { return arena_->ids(block_); }
-  const Address* addrs() const { return arena_->addrs(block_); }
-  NodeId* ids() { return arena_->ids(block_); }
-  Address* addrs() { return arena_->addrs(block_); }
-
   NodeId own_;
-  std::size_t capacity_;
-  DescriptorArena own_arena_;  // backs the block when no external arena given
-  DescriptorArena* arena_;
-  DescriptorArena::Block block_;
-  std::uint32_t succ_count_ = 0;
-  std::uint32_t pred_count_ = 0;
+  std::vector<NodeId> ids_;     // c slots; the first size() are live
+  std::vector<Address> addrs_;  // parallel to ids_
+  std::size_t succ_count_ = 0;
+  std::size_t pred_count_ = 0;
 };
 
 }  // namespace bsvc

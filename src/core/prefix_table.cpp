@@ -7,97 +7,15 @@
 namespace bsvc {
 
 PrefixTable::PrefixTable(NodeId own, DigitConfig digits, int k)
-    : own_(own),
-      digits_(digits),
-      k_(k),
-      rows_(digits.num_digits<NodeId>()),
-      arena_(&own_arena_) {
+    : own_(own), digits_(digits), k_(k), rows_(digits.num_digits<NodeId>()) {
   digits_.validate<NodeId>();
   BSVC_CHECK(k_ >= 1);
-}
-
-PrefixTable::PrefixTable(NodeId own, DigitConfig digits, int k, DescriptorArena* arena)
-    : own_(own),
-      digits_(digits),
-      k_(k),
-      rows_(digits.num_digits<NodeId>()),
-      arena_(arena) {
-  digits_.validate<NodeId>();
-  BSVC_CHECK(k_ >= 1);
-  BSVC_CHECK(arena != nullptr);
-}
-
-void PrefixTable::copy_from(const PrefixTable& other) {
-  own_ = other.own_;
-  digits_ = other.digits_;
-  k_ = other.k_;
-  rows_ = other.rows_;
-  size_ = other.size_;
-  std::copy_n(other.ids(), other.size_, ids());
-  std::copy_n(other.addrs(), other.size_, addrs());
-}
-
-PrefixTable::PrefixTable(const PrefixTable& other)
-    : own_(other.own_),
-      digits_(other.digits_),
-      k_(other.k_),
-      rows_(other.rows_),
-      arena_(&own_arena_),
-      block_(arena_->allocate(other.block_.cap)) {
-  copy_from(other);
-}
-
-PrefixTable& PrefixTable::operator=(const PrefixTable& other) {
-  if (this == &other) return *this;
-  // Copies always land in the private arena (see LeafSet::operator=).
-  own_arena_.reset();
-  arena_ = &own_arena_;
-  block_ = arena_->allocate(other.block_.cap);
-  copy_from(other);
-  return *this;
-}
-
-PrefixTable::PrefixTable(PrefixTable&& other) noexcept
-    : own_(other.own_),
-      digits_(other.digits_),
-      k_(other.k_),
-      rows_(other.rows_),
-      own_arena_(std::move(other.own_arena_)),
-      arena_(other.arena_ == &other.own_arena_ ? &own_arena_ : other.arena_),
-      block_(other.block_),
-      size_(other.size_) {
-  other.arena_ = &other.own_arena_;
-  other.block_ = {};
-  other.size_ = 0;
-}
-
-PrefixTable& PrefixTable::operator=(PrefixTable&& other) noexcept {
-  if (this == &other) return *this;
-  own_ = other.own_;
-  digits_ = other.digits_;
-  k_ = other.k_;
-  rows_ = other.rows_;
-  own_arena_ = std::move(other.own_arena_);
-  arena_ = other.arena_ == &other.own_arena_ ? &own_arena_ : other.arena_;
-  block_ = other.block_;
-  size_ = other.size_;
-  other.arena_ = &other.own_arena_;
-  other.block_ = {};
-  other.size_ = 0;
-  return *this;
 }
 
 PrefixTable::Cell PrefixTable::cell_of(NodeId id) const {
   BSVC_CHECK_MSG(id != own_, "cell_of is undefined for the own ID");
   const int row = common_prefix_digits(own_, id, digits_);
   return {row, digit(id, row, digits_)};
-}
-
-void PrefixTable::ensure_capacity(std::uint32_t need) {
-  if (need <= block_.cap) return;
-  std::uint32_t new_cap = block_.cap == 0 ? 16 : block_.cap * 2;
-  while (new_cap < need) new_cap *= 2;
-  arena_->grow(block_, new_cap, size_);
 }
 
 bool PrefixTable::insert(const NodeDescriptor& d) {
@@ -121,33 +39,33 @@ bool PrefixTable::insert_near(const NodeDescriptor& d, std::size_t& hint) {
   if (d.id == own_ || d.addr == kNullAddress) return false;
   const std::size_t pos = lower_bound_from(hint, d.id);
   hint = pos;
-  const NodeId* ids_p = ids();
-  if (pos != size_ && ids_p[pos] == d.id) return false;
+  const std::size_t size = ids_.size();
+  if (pos != size && ids_[pos] == d.id) return false;
   // The cell is the ID interval [lo, top] around pos and holds at most k
   // entries, so counting them walks at most k steps from pos.
   const Cell c = cell_of(d.id);
   const NodeId lo = prefix_range_lo(own_, c.row, c.col, digits_);
   const NodeId top = prefix_range_hi(own_, c.row, c.col, digits_) - 1;  // hi is 0 at the top
   std::size_t in_cell = 0;
-  for (std::size_t i = pos; i > 0 && ids_p[i - 1] >= lo; --i) ++in_cell;
-  for (std::size_t i = pos; i < size_ && ids_p[i] <= top; ++i) ++in_cell;
+  for (std::size_t i = pos; i > 0 && ids_[i - 1] >= lo; --i) ++in_cell;
+  for (std::size_t i = pos; i < size && ids_[i] <= top; ++i) ++in_cell;
   if (in_cell >= static_cast<std::size_t>(k_)) return false;
-  ensure_capacity(size_ + 1);
-  NodeId* mut_ids = ids();
-  Address* mut_addrs = addrs();
-  std::copy_backward(mut_ids + pos, mut_ids + size_, mut_ids + size_ + 1);
-  std::copy_backward(mut_addrs + pos, mut_addrs + size_, mut_addrs + size_ + 1);
-  mut_ids[pos] = d.id;
-  mut_addrs[pos] = d.addr;
-  ++size_;
+  if (size == ids_.capacity()) {  // grow both lanes together, doubling from 16
+    const std::size_t cap = size == 0 ? 16 : 2 * size;
+    ids_.reserve(cap);
+    addrs_.reserve(cap);
+  }
+  const auto at = static_cast<std::ptrdiff_t>(pos);
+  ids_.insert(ids_.begin() + at, d.id);
+  addrs_.insert(addrs_.begin() + at, d.addr);
   return true;
 }
 
 std::size_t PrefixTable::lower_bound_from(std::size_t hint, NodeId id) const {
   // Galloping search: probes 1, 2, 4, ... entries away from the hint bracket
   // the answer, then a binary search finishes inside the bracket.
-  const NodeId* ids_p = ids();
-  const std::size_t size = size_;
+  const NodeId* ids_p = ids_.data();
+  const std::size_t size = ids_.size();
   std::size_t lo = 0;
   std::size_t hi = std::min(hint, size);
   if (hi < size && ids_p[hi] < id) {  // the answer lies above the hint
@@ -170,14 +88,10 @@ std::size_t PrefixTable::lower_bound_from(std::size_t hint, NodeId id) const {
 }
 
 bool PrefixTable::remove(NodeId id) {
-  NodeId* ids_p = ids();
-  const std::size_t pos =
-      static_cast<std::size_t>(std::lower_bound(ids_p, ids_p + size_, id) - ids_p);
-  if (pos == size_ || ids_p[pos] != id) return false;
-  Address* addrs_p = addrs();
-  std::copy(ids_p + pos + 1, ids_p + size_, ids_p + pos);
-  std::copy(addrs_p + pos + 1, addrs_p + size_, addrs_p + pos);
-  --size_;
+  const auto it = std::lower_bound(ids_.begin(), ids_.end(), id);
+  if (it == ids_.end() || *it != id) return false;
+  addrs_.erase(addrs_.begin() + (it - ids_.begin()));
+  ids_.erase(it);
   return true;
 }
 
@@ -190,17 +104,12 @@ DescriptorList PrefixTable::cell(int row, int col) const {
   const auto [first, last] = cell_range(row, col);
   DescriptorList out;
   out.reserve(last - first);
-  const NodeId* ids_p = ids();
-  const Address* addrs_p = addrs();
-  for (std::size_t i = first; i < last; ++i) out.push_back({ids_p[i], addrs_p[i]});
+  for (std::size_t i = first; i < last; ++i) out.push_back({ids_[i], addrs_[i]});
   return out;
 }
 
 bool PrefixTable::contains(NodeId id) const {
-  const NodeId* ids_p = ids();
-  const std::size_t pos =
-      static_cast<std::size_t>(std::lower_bound(ids_p, ids_p + size_, id) - ids_p);
-  return pos != size_ && ids_p[pos] == id;
+  return std::binary_search(ids_.begin(), ids_.end(), id);
 }
 
 std::pair<std::size_t, std::size_t> PrefixTable::cell_range(int row, int col) const {
@@ -210,15 +119,11 @@ std::pair<std::size_t, std::size_t> PrefixTable::cell_range(int row, int col) co
   BSVC_CHECK_MSG(col != digit(own_, row, digits_), "queried the own-digit column");
   const NodeId lo = prefix_range_lo(own_, row, col, digits_);
   const NodeId hi = prefix_range_hi(own_, row, col, digits_);
-  const NodeId* ids_p = ids();
-  const std::size_t first =
-      static_cast<std::size_t>(std::lower_bound(ids_p, ids_p + size_, lo) - ids_p);
+  const auto first = std::lower_bound(ids_.begin(), ids_.end(), lo);
   // hi == 0 means the range runs to the top of the ID space.
-  const std::size_t last =
-      hi == 0 ? size_
-              : static_cast<std::size_t>(
-                    std::lower_bound(ids_p + first, ids_p + size_, hi) - ids_p);
-  return {first, last};
+  const auto last = hi == 0 ? ids_.end() : std::lower_bound(first, ids_.end(), hi);
+  return {static_cast<std::size_t>(first - ids_.begin()),
+          static_cast<std::size_t>(last - ids_.begin())};
 }
 
 }  // namespace bsvc

@@ -9,11 +9,12 @@
 // contiguous and memory compact. An insert is one search for its position;
 // the cell's (at most k) entries are its neighbours there.
 //
-// Storage is struct-of-arrays in a DescriptorArena block: the searches walk
-// a dense NodeId lane (8 bytes/element, no interleaved addresses), and in
-// steady state an insert is a memmove within the block — growth doubles the
-// block at the arena tip without touching the allocator once the slabs are
-// warm. entries() hands out a DescriptorView; views are invalidated by any
+// Storage is struct-of-arrays, two vectors holding exactly the entries: the
+// searches walk a dense NodeId lane (8 bytes/element, no interleaved
+// addresses), and an insert shifts the tail of both lanes by one. The lanes
+// grow together, doubling from 16 slots, so a table that has reached its
+// steady size inserts and removes without touching the allocator.
+// entries() hands out a DescriptorView; views are invalidated by any
 // mutation.
 #pragma once
 
@@ -22,7 +23,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "core/config.hpp"
 #include "id/descriptor.hpp"
 #include "id/digits.hpp"
@@ -37,16 +37,7 @@ class PrefixTable {
     int col = 0;  // first differing digit j
   };
 
-  /// Self-backed: entries live in a private arena.
   PrefixTable(NodeId own, DigitConfig digits, int k);
-  /// Entries live in `arena` (not owned; must outlive the table).
-  PrefixTable(NodeId own, DigitConfig digits, int k, DescriptorArena* arena);
-
-  PrefixTable(const PrefixTable& other);
-  PrefixTable& operator=(const PrefixTable& other);
-  PrefixTable(PrefixTable&& other) noexcept;
-  PrefixTable& operator=(PrefixTable&& other) noexcept;
-  ~PrefixTable() = default;
 
   /// The cell a foreign ID falls into. Precondition: id != own ID.
   Cell cell_of(NodeId id) const;
@@ -72,10 +63,10 @@ class PrefixTable {
 
   /// All entries, sorted by ID. This is the view CREATEMESSAGE unions into
   /// its candidate set.
-  DescriptorView entries() const { return {ids(), addrs(), size_}; }
+  DescriptorView entries() const { return {ids_.data(), addrs_.data(), ids_.size()}; }
 
   /// Total number of filled entries.
-  std::size_t filled() const { return size_; }
+  std::size_t filled() const { return ids_.size(); }
 
   bool contains(NodeId id) const;
 
@@ -92,22 +83,13 @@ class PrefixTable {
   std::size_t lower_bound_from(std::size_t hint, NodeId id) const;
   /// [first, last) index range of a cell in the sorted run.
   std::pair<std::size_t, std::size_t> cell_range(int row, int col) const;
-  void ensure_capacity(std::uint32_t need);
-  void copy_from(const PrefixTable& other);
-
-  const NodeId* ids() const { return arena_->ids(block_); }
-  const Address* addrs() const { return arena_->addrs(block_); }
-  NodeId* ids() { return arena_->ids(block_); }
-  Address* addrs() { return arena_->addrs(block_); }
 
   NodeId own_;
   DigitConfig digits_;
   int k_;
   int rows_;
-  DescriptorArena own_arena_;  // backs the block when no external arena given
-  DescriptorArena* arena_;
-  DescriptorArena::Block block_;  // sorted-by-id run of size_ entries
-  std::uint32_t size_ = 0;
+  std::vector<NodeId> ids_;     // every entry, sorted by ID
+  std::vector<Address> addrs_;  // parallel to ids_
 };
 
 }  // namespace bsvc

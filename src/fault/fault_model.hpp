@@ -40,7 +40,7 @@ class FaultModel {
     /// Replace the base latency draw with `latency` (heavy-tail mode).
     bool replace_latency = false;
     /// Inject one extra copy of the message (delivered `duplicate_delay`
-    /// ticks after the original). Requires the payload to be clonable.
+    /// ticks after the original): a second reference to the same payload.
     bool duplicate = false;
     SimTime latency = 0;
     /// Added on top of the (possibly replaced) latency: spikes and

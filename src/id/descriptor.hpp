@@ -36,11 +36,11 @@ constexpr std::size_t descriptor_list_wire_bytes(std::size_t entries) {
 using DescriptorList = std::vector<NodeDescriptor>;
 
 /// Non-owning view over descriptors stored struct-of-arrays: one contiguous
-/// NodeId lane and one parallel Address lane (see common/arena.hpp).
+/// NodeId lane and one parallel Address lane (LeafSet, PrefixTable).
 /// Iteration and indexing materialize NodeDescriptor values on the fly, so
 /// table consumers keep the AoS-shaped API while the storage underneath
-/// streams dense 8-byte lanes. The view is invalidated by whatever
-/// invalidates the lanes (arena grow/reset, table mutation).
+/// streams dense 8-byte lanes. The view is invalidated by any mutation of
+/// the table that owns the lanes.
 class DescriptorView {
  public:
   class iterator {

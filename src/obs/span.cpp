@@ -15,16 +15,6 @@ constexpr std::size_t kLatencyBuckets = 256;
 
 }  // namespace
 
-const char* span_outcome_name(SpanOutcome outcome) {
-  switch (outcome) {
-    case SpanOutcome::Answered: return "answered";
-    case SpanOutcome::Timeout: return "timeout";
-    case SpanOutcome::Superseded: return "superseded";
-    case SpanOutcome::Evicted: return "evicted";
-  }
-  return "?";
-}
-
 SpanLog::SpanLog(std::size_t max_in_flight)
     : max_in_flight_(max_in_flight),
       rtt_(0.0, kRttHi, kLatencyBuckets),

@@ -43,9 +43,6 @@ inline constexpr SpanId kNoSpan = 0;
 /// exchange was pending.
 enum class SpanOutcome : std::uint8_t { Answered, Timeout, Superseded, Evicted };
 
-/// Short stable name ("answered", "timeout", "superseded", "evicted").
-const char* span_outcome_name(SpanOutcome outcome);
-
 /// Transport event kinds the engine attributes to a span, mirroring the
 /// trace layer's message kinds.
 enum class SpanTransport : std::uint8_t { Send, Drop, Deliver, DeadDest };

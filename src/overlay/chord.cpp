@@ -13,6 +13,20 @@ namespace {
 constexpr std::uint64_t kInitTimer = 1;
 constexpr std::uint64_t kActiveTimer = 2;
 
+/// Ring neighbourhood size c (successor list + predecessor list).
+constexpr std::size_t kRingSize = 20;
+/// Random samples cr mixed into each message.
+constexpr std::size_t kRandomSamples = 30;
+/// A fix_fingers-style probe runs alongside each ring exchange: every cycle
+/// the node also exchanges with its current best candidate for one high
+/// finger slot, sweeping kProbeSpan slots from the top. Targets of the high
+/// slots land in far, uniformly random regions that ring gossip never
+/// covers; the candidate sits just past the target, so its reply — with its
+/// own predecessor list in the union — corrects the slot to the exact
+/// successor. Low slots resolve through ring knowledge alone. Costs one
+/// extra message pair per node per cycle.
+constexpr int kProbeSpan = 16;
+
 bool id_less(const NodeDescriptor& d, NodeId id) { return d.id < id; }
 
 /// First descriptor at ring position >= target (wrapping), in an id-sorted
@@ -98,11 +112,9 @@ std::size_t ChordMessage::wire_bytes() const {
 
 // --- ChordBootstrapProtocol ----------------------------------------------
 
-ChordBootstrapProtocol::ChordBootstrapProtocol(ChordConfig config, PeerSampler* sampler,
-                                               SimTime start_delay)
-    : config_(config), sampler_(sampler), start_delay_(start_delay) {
+ChordBootstrapProtocol::ChordBootstrapProtocol(PeerSampler* sampler, SimTime start_delay)
+    : sampler_(sampler), start_delay_(start_delay) {
   BSVC_CHECK(sampler_ != nullptr);
-  BSVC_CHECK(config_.c >= 2);
 }
 
 void ChordBootstrapProtocol::on_start(Context& ctx) {
@@ -117,12 +129,12 @@ void ChordBootstrapProtocol::on_timer(Context& ctx, std::uint64_t timer_id) {
       active_step(ctx);
       if (!chain_started_) {
         chain_started_ = true;
-        ctx.schedule_timer(config_.delta, kActiveTimer);
+        ctx.schedule_timer(kDelta, kActiveTimer);
       }
       break;
     case kActiveTimer:
       active_step(ctx);
-      ctx.schedule_timer(config_.delta, kActiveTimer);
+      ctx.schedule_timer(kDelta, kActiveTimer);
       break;
     default:
       BSVC_CHECK_MSG(false, "unknown timer");
@@ -130,27 +142,25 @@ void ChordBootstrapProtocol::on_timer(Context& ctx, std::uint64_t timer_id) {
 }
 
 void ChordBootstrapProtocol::init_tables() {
-  leaf_.emplace(self_.id, config_.c);
+  leaf_.emplace(self_.id, kRingSize);
   fingers_.emplace(self_.id);
-  leaf_->update(sampler_->sample(config_.c));
+  leaf_->update(sampler_->sample(kRingSize));
 }
 
 void ChordBootstrapProtocol::active_step(Context& ctx) {
   if (leaf_->empty()) {
-    leaf_->update(sampler_->sample(config_.c));
+    leaf_->update(sampler_->sample(kRingSize));
     if (leaf_->empty()) return;
   }
   const auto peer = select_peer(ctx);
   if (!peer) return;
   ctx.send(peer->addr, create_message(peer->id, /*is_request=*/true));
 
-  if (config_.fix_fingers) {
-    const int slot = FingerTable::kBits - 1 - probe_cursor_;
-    probe_cursor_ = (probe_cursor_ + 1) % std::max(1, config_.probe_span);
-    const auto candidate = fingers_->finger(slot);
-    if (candidate && candidate->id != self_.id && candidate->addr != peer->addr) {
-      ctx.send(candidate->addr, create_message(candidate->id, /*is_request=*/true));
-    }
+  const int slot = FingerTable::kBits - 1 - probe_cursor_;
+  probe_cursor_ = (probe_cursor_ + 1) % kProbeSpan;
+  const auto candidate = fingers_->finger(slot);
+  if (candidate && candidate->id != self_.id && candidate->addr != peer->addr) {
+    ctx.send(candidate->addr, create_message(candidate->id, /*is_request=*/true));
   }
 }
 
@@ -169,7 +179,7 @@ std::optional<NodeDescriptor> ChordBootstrapProtocol::select_peer(Context& ctx) 
 std::unique_ptr<ChordMessage> ChordBootstrapProtocol::create_message(NodeId peer_id,
                                                                      bool is_request) {
   DescriptorList un = leaf_->all();
-  const DescriptorList samples = sampler_->sample(config_.cr);
+  const DescriptorList samples = sampler_->sample(kRandomSamples);
   un.insert(un.end(), samples.begin(), samples.end());
   const DescriptorList finger_entries = fingers_->entries();
   un.insert(un.end(), finger_entries.begin(), finger_entries.end());
@@ -197,10 +207,10 @@ std::unique_ptr<ChordMessage> ChordBootstrapProtocol::create_message(NodeId peer
             [peer_id](const NodeDescriptor& a, const NodeDescriptor& b) {
               return predecessor_distance(peer_id, a.id) < predecessor_distance(peer_id, b.id);
             });
-  const std::size_t half = config_.c / 2;
+  const std::size_t half = kRingSize / 2;
   std::size_t take_s = std::min(succ.size(), half);
   std::size_t take_p = std::min(pred.size(), half);
-  std::size_t spare = config_.c - take_s - take_p;
+  std::size_t spare = kRingSize - take_s - take_p;
   const std::size_t extra_s = std::min(succ.size() - take_s, spare);
   take_s += extra_s;
   spare -= extra_s;

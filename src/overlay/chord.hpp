@@ -84,31 +84,11 @@ class ChordMessage final : public Payload {
   bool is_request;
 };
 
-struct ChordConfig {
-  /// Ring neighbourhood size (successor list + predecessor list).
-  std::size_t c = 20;
-  /// Random samples mixed into each message.
-  std::size_t cr = 30;
-  /// Gossip period.
-  SimTime delta = kDelta;
-  /// Candidates shipped per finger slot of the peer.
-  int per_finger = 1;
-  /// Run a fix_fingers-style probe alongside each ring exchange: every
-  /// cycle the node also exchanges with its current best candidate for one
-  /// high finger slot (sweeping probe_span slots from the top). Targets of
-  /// the high slots land in far, uniformly random regions that ring gossip
-  /// never covers; the candidate sits just past the target, so its reply —
-  /// with its own predecessor list in the union — corrects the slot to the
-  /// exact successor. Low slots resolve through ring knowledge alone.
-  /// Costs one extra message pair per node per cycle while enabled.
-  bool fix_fingers = true;
-  int probe_span = 16;
-};
-
-/// Per-node Chord bootstrap instance (mirrors BootstrapProtocol's shape).
+/// Per-node Chord bootstrap instance (mirrors BootstrapProtocol's shape,
+/// with the paper's c = 20, cr = 30 and Δ).
 class ChordBootstrapProtocol final : public Protocol {
  public:
-  ChordBootstrapProtocol(ChordConfig config, PeerSampler* sampler, SimTime start_delay);
+  ChordBootstrapProtocol(PeerSampler* sampler, SimTime start_delay);
 
   void on_start(Context& ctx) override;
   void on_timer(Context& ctx, std::uint64_t timer_id) override;
@@ -127,7 +107,6 @@ class ChordBootstrapProtocol final : public Protocol {
   std::optional<NodeDescriptor> select_peer(Context& ctx);
   void update_from(const ChordMessage& msg);
 
-  ChordConfig config_;
   PeerSampler* sampler_;
   SimTime start_delay_;
   NodeDescriptor self_{};

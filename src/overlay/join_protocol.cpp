@@ -16,16 +16,6 @@ SequentialJoinNetwork::SequentialJoinNetwork(BootstrapConfig config, std::uint64
   config_.digits.validate<NodeId>();
 }
 
-void SequentialJoinNetwork::set_metrics(obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    ctr_messages_ = ctr_route_hops_ = ctr_joins_ = nullptr;
-    return;
-  }
-  ctr_messages_ = &metrics->counter("join.messages");
-  ctr_route_hops_ = &metrics->counter("join.route_hops");
-  ctr_joins_ = &metrics->counter("join.joins");
-}
-
 std::size_t SequentialJoinNetwork::index_of(Address addr) const {
   BSVC_CHECK(addr < index_by_addr_.size());
   return index_by_addr_[addr];
@@ -46,8 +36,6 @@ std::vector<std::size_t> SequentialJoinNetwork::route_to(std::size_t start, Node
 }
 
 void SequentialJoinNetwork::join(const NodeDescriptor& descriptor) {
-  const std::uint64_t messages_before = costs_.messages;
-  const std::uint64_t hops_before = costs_.total_route_hops;
   auto node = std::make_unique<JoinedNode>(descriptor, config_);
   if (descriptor.addr >= index_by_addr_.size()) {
     index_by_addr_.resize(descriptor.addr + 1, 0xFFFFFFFFu);
@@ -117,11 +105,6 @@ void SequentialJoinNetwork::join(const NodeDescriptor& descriptor) {
   index_by_addr_[descriptor.addr] = static_cast<std::uint32_t>(nodes_.size());
   nodes_.push_back(std::move(node));
   ++costs_.joins;
-  if (ctr_joins_ != nullptr) {
-    ctr_messages_->add(costs_.messages - messages_before);
-    ctr_route_hops_->add(costs_.total_route_hops - hops_before);
-    ctr_joins_->inc();
-  }
 }
 
 void SequentialJoinNetwork::grow(std::size_t n) {

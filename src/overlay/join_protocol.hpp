@@ -26,7 +26,6 @@
 #include "core/leaf_set.hpp"
 #include "core/perfect_tables.hpp"
 #include "core/prefix_table.hpp"
-#include "obs/metrics.hpp"
 
 namespace bsvc {
 
@@ -70,12 +69,6 @@ class SequentialJoinNetwork {
   const JoinCosts& costs() const { return costs_; }
   std::size_t size() const { return nodes_.size(); }
 
-  /// Optional metrics registry (the network is not engine-backed, so the
-  /// harness passes one explicitly; nullptr detaches). Each join() then
-  /// advances the counters "join.messages", "join.route_hops" and
-  /// "join.joins" alongside the JoinCosts totals.
-  void set_metrics(obs::MetricsRegistry* metrics);
-
   /// Measures table quality over the current membership; `lookups` random
   /// greedy routes probe end-to-end usability.
   JoinQuality measure_quality(std::size_t lookups = 500);
@@ -102,9 +95,6 @@ class SequentialJoinNetwork {
   Rng rng_;
   std::uint64_t hop_latency_;
   JoinCosts costs_;
-  obs::Counter* ctr_messages_ = nullptr;
-  obs::Counter* ctr_route_hops_ = nullptr;
-  obs::Counter* ctr_joins_ = nullptr;
   std::vector<std::unique_ptr<JoinedNode>> nodes_;
   std::vector<std::uint32_t> index_by_addr_;
 };

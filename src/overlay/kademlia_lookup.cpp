@@ -7,12 +7,14 @@
 
 namespace bsvc {
 
-KademliaLookup::KademliaLookup(const Engine& engine, SlotRef<BootstrapProtocol> bootstrap_slot,
-                               KademliaConfig config)
-    : engine_(engine), slot_(bootstrap_slot), config_(config) {
-  BSVC_CHECK(config_.alpha >= 1);
-  BSVC_CHECK(config_.k_closest >= 1);
-}
+namespace {
+constexpr std::size_t kAlpha = 3;       // parallel queries per round
+constexpr std::size_t kClosest = 8;     // shortlist width / answer size
+constexpr std::size_t kMaxRounds = 32;  // safety bound
+}  // namespace
+
+KademliaLookup::KademliaLookup(const Engine& engine, SlotRef<BootstrapProtocol> bootstrap_slot)
+    : engine_(engine), slot_(bootstrap_slot) {}
 
 std::vector<NodeDescriptor> KademliaLookup::closest_known(Address node, NodeId target) const {
   const auto& proto = slot_.of(engine_, node);
@@ -33,7 +35,7 @@ std::vector<NodeDescriptor> KademliaLookup::closest_known(Address node, NodeId t
                             return a.id == b.id;
                           }),
               known.end());
-  if (known.size() > config_.k_closest) known.resize(config_.k_closest);
+  if (known.size() > kClosest) known.resize(kClosest);
   return known;
 }
 
@@ -50,11 +52,11 @@ KademliaResult KademliaLookup::find_node(Address origin, NodeId target,
     return xor_distance(a.id, target) < xor_distance(b.id, target);
   };
 
-  for (std::size_t round = 0; round < config_.max_rounds; ++round) {
+  for (std::size_t round = 0; round < kMaxRounds; ++round) {
     // Pick the α closest not-yet-queried, alive candidates.
     std::vector<NodeDescriptor> batch;
     for (const auto& d : shortlist) {
-      if (batch.size() >= config_.alpha) break;
+      if (batch.size() >= kAlpha) break;
       if (queried.count(d.addr) > 0 || !engine_.is_alive(d.addr)) continue;
       batch.push_back(d);
     }
@@ -76,7 +78,7 @@ KademliaResult KademliaLookup::find_node(Address origin, NodeId target,
                                   return a.id == b.id;
                                 }),
                     shortlist.end());
-    if (shortlist.size() > config_.k_closest) shortlist.resize(config_.k_closest);
+    if (shortlist.size() > kClosest) shortlist.resize(kClosest);
     improved = !shortlist.empty() && xor_distance(shortlist.front().id, target) < best_before;
     if (!improved && queried.count(shortlist.front().addr) > 0) break;
   }

@@ -22,12 +22,6 @@ namespace bsvc {
 /// XOR metric (Kademlia distance).
 inline NodeId xor_distance(NodeId a, NodeId b) { return a ^ b; }
 
-struct KademliaConfig {
-  std::size_t alpha = 3;       // parallel queries per round
-  std::size_t k_closest = 8;   // shortlist width / answer size
-  std::size_t max_rounds = 32; // safety bound
-};
-
 struct KademliaResult {
   NodeDescriptor closest{};       // best node found
   bool exact = false;             // equals the global XOR-closest node
@@ -46,8 +40,7 @@ struct KademliaStats {
 
 class KademliaLookup {
  public:
-  KademliaLookup(const Engine& engine, SlotRef<BootstrapProtocol> bootstrap_slot,
-                 KademliaConfig config = {});
+  KademliaLookup(const Engine& engine, SlotRef<BootstrapProtocol> bootstrap_slot);
 
   /// Iterative FIND_NODE for `target` starting from `origin`'s tables.
   KademliaResult find_node(Address origin, NodeId target, const ConvergenceOracle& oracle) const;
@@ -56,12 +49,11 @@ class KademliaLookup {
   KademliaStats run_lookups(const ConvergenceOracle& oracle, Rng& rng, std::size_t lookups) const;
 
  private:
-  /// A node's answer: its k_closest known contacts to `target`.
+  /// A node's answer: its k closest known contacts to `target` (k = 8).
   std::vector<NodeDescriptor> closest_known(Address node, NodeId target) const;
 
   const Engine& engine_;
   SlotRef<BootstrapProtocol> slot_;
-  KademliaConfig config_;
 };
 
 }  // namespace bsvc

@@ -13,8 +13,11 @@
 #include <cstdlib>
 #include <new>
 
+#include "common/rng.hpp"
 #include "core/bootstrap.hpp"
 #include "core/experiment.hpp"
+#include "core/leaf_set.hpp"
+#include "core/prefix_table.hpp"
 
 namespace {
 
@@ -105,6 +108,62 @@ TEST_F(AllocationRegression, CreateMessageStaysWithinFixedBudget) {
   // allocation census.
   EXPECT_EQ(allocs, 0u) << "CREATEMESSAGE allocates "
                         << static_cast<double>(allocs) / kCalls << " per call";
+}
+
+TEST_F(AllocationRegression, WarmTablesAreAllocationFree) {
+  // The two tables on their own, outside any exchange: once a leaf set
+  // (c = 20) and a prefix table hold their steady content, UPDATELEAFSET,
+  // UPDATEPREFIXTABLE and dead-peer removal reuse the tables' own lanes and
+  // the thread-local staging, so they allocate nothing.
+  Engine& engine = exp_->engine();
+  const BootstrapConfig& bcfg = exp_->config().bootstrap;
+  DescriptorList members;
+  for (Address a = 0; a < engine.node_count(); ++a) members.push_back(engine.descriptor_of(a));
+  const NodeId own = members[0].id;
+  LeafSet leaf(own, 20);
+  PrefixTable prefix(own, bcfg.digits, bcfg.k);
+  // Offered the whole membership, both tables reach their steady size and
+  // the leaf set's staging its capacity.
+  leaf.update(members);
+  prefix.insert_all(members);
+
+  // Message-sized batches drawn from the membership, and the entries each
+  // round evicts and offers back, built before counting starts.
+  Rng rng(31);
+  std::vector<DescriptorList> batches(8);
+  for (auto& batch : batches) {
+    for (int i = 0; i < 50; ++i) batch.push_back(members[rng.below(members.size())]);
+  }
+  const DescriptorList leaf_entries = leaf.all();
+  const DescriptorList prefix_entries(prefix.entries().begin(), prefix.entries().end());
+  const std::size_t steady_leaf = leaf.size();
+  const std::size_t steady_prefix = prefix.filled();
+
+  std::size_t removed = 0;
+  const auto churn_round = [&](std::size_t round) {
+    const NodeDescriptor leaf_victim = leaf_entries[round % leaf_entries.size()];
+    const NodeDescriptor prefix_victim = prefix_entries[round % prefix_entries.size()];
+    removed += leaf.remove(leaf_victim.id) ? 1 : 0;
+    removed += prefix.remove(prefix_victim.id) ? 1 : 0;
+    const DescriptorList& batch = batches[round % batches.size()];
+    leaf.update(batch);
+    prefix.insert_all(batch);
+    leaf.update(std::span(&leaf_victim, 1));
+    prefix.insert(prefix_victim);
+  };
+  for (std::size_t round = 0; round < 3; ++round) churn_round(round);
+
+  constexpr std::size_t kRounds = 200;
+  removed = 0;
+  const std::uint64_t before = g_alloc_count.load();
+  for (std::size_t round = 0; round < kRounds; ++round) churn_round(round);
+  const std::uint64_t allocs = g_alloc_count.load() - before;
+
+  EXPECT_GE(removed, kRounds) << "the rounds must evict live entries";
+  EXPECT_EQ(leaf.size(), steady_leaf);
+  EXPECT_LE(prefix.filled(), steady_prefix);
+  EXPECT_EQ(allocs, 0u) << "warm table updates allocate "
+                        << static_cast<double>(allocs) / kRounds << " times per round";
 }
 
 TEST_F(AllocationRegression, NewscastExchangeAndSampleAreAllocationFree) {

@@ -94,8 +94,8 @@ struct ChordNet {
       auto sampler = std::make_unique<OracleSamplerProtocol>(*engine, a);
       auto* sp = sampler.get();
       engine->attach(a, std::move(sampler));
-      engine->attach(a, std::make_unique<ChordBootstrapProtocol>(
-                            ChordConfig{}, sp, engine->rng().below(kDelta)));
+      engine->attach(a,
+                     std::make_unique<ChordBootstrapProtocol>(sp, engine->rng().below(kDelta)));
       engine->start_node(a);
     }
   }
@@ -139,7 +139,7 @@ TEST(ChordBootstrap, MessageInvariants) {
   for (int trial = 0; trial < 20; ++trial) {
     const NodeId peer = rng.next_u64();
     const auto msg = proto.create_message(peer, true);
-    EXPECT_LE(msg->ring_part.size(), ChordConfig{}.c);
+    EXPECT_LE(msg->ring_part.size(), proto.leaf_set().capacity());
     EXPECT_LE(msg->finger_part.size(), static_cast<std::size_t>(FingerTable::kBits));
     std::set<NodeId> seen;
     for (const auto& e : msg->ring_part) {
@@ -180,7 +180,7 @@ TEST(ChordBootstrap, LeafSetsAlsoConverge) {
   net.run_cycles(40);
   std::vector<NodeDescriptor> members;
   for (Address a = 0; a < 256; ++a) members.push_back(net.engine->descriptor_of(a));
-  BootstrapConfig cfg;  // c matches ChordConfig default
+  BootstrapConfig cfg;  // c = 20, the Chord protocol's ring size
   const PerfectTables truth(members, cfg);
   for (Address a = 0; a < 256; ++a) {
     const auto& ls = net.proto(a).leaf_set();

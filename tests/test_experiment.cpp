@@ -125,6 +125,27 @@ TEST(Experiment, InitialGroupsIsolatePools) {
   EXPECT_TRUE(oracle.measure().converged());
 }
 
+TEST(Experiment, ConvergedCycleIsTheFirstPerfectCycle) {
+  // Running on past convergence, converged_cycle still names the first
+  // cycle whose measured tables are perfect, like the per-table fields.
+  ExperimentConfig cfg;
+  cfg.n = 256;
+  cfg.seed = 7;
+  cfg.max_cycles = 40;
+  cfg.stop_at_convergence = false;
+  BootstrapExperiment exp(cfg);
+  int first_perfect = -1;
+  int perfect_cycles = 0;
+  const auto result = exp.run([&](std::size_t cycle, const ConvergenceMetrics& m) {
+    if (!m.converged()) return;
+    if (first_perfect < 0) first_perfect = static_cast<int>(cycle);
+    ++perfect_cycles;
+  });
+  ASSERT_GE(first_perfect, 0) << "the run must converge";
+  ASSERT_GT(perfect_cycles, 1) << "the run must stay past its first perfect cycle";
+  EXPECT_EQ(result.converged_cycle, first_perfect);
+}
+
 TEST(Experiment, ResultsAreDeterministic) {
   const auto signature = [](std::uint64_t seed) {
     ExperimentConfig cfg;

@@ -40,8 +40,7 @@ TEST(Integration, ChordSurvivesWireRoundtrip) {
     auto sampler = std::make_unique<OracleSamplerProtocol>(engine, a);
     auto* sp = sampler.get();
     engine.attach(a, std::move(sampler));
-    engine.attach(a, std::make_unique<ChordBootstrapProtocol>(ChordConfig{}, sp,
-                                                              engine.rng().below(kDelta)));
+    engine.attach(a, std::make_unique<ChordBootstrapProtocol>(sp, engine.rng().below(kDelta)));
     engine.start_node(a);
   }
   engine.set_transcoder(wire_roundtrip_transcoder());

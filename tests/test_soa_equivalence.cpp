@@ -1,10 +1,11 @@
-// Property test: the SoA/arena-backed LeafSet and PrefixTable, and
-// CREATEMESSAGE, must produce element-identical contents, in identical
-// iteration order, to the straightforward sort-based semantics under any
-// interleaving of insert, evict and merge operations. The references below
-// are AoS algorithms (vectors of NodeDescriptor, full sorts by ID and by
-// distance, same spare/top-up arithmetic); both sides are driven with the
-// same seeded random operation sequences and compared after every step.
+// Property test: the SoA LeafSet and PrefixTable (parallel NodeId and
+// Address lanes), and CREATEMESSAGE, must produce element-identical
+// contents, in identical iteration order, to the straightforward sort-based
+// semantics under any interleaving of insert, evict, merge and copy
+// operations. The references below are AoS algorithms (vectors of
+// NodeDescriptor, full sorts by ID and by distance, same spare/top-up
+// arithmetic); both sides are driven with the same seeded random operation
+// sequences and compared after every step.
 //
 // Duplicate IDs: when one ID arrives with two addresses the first
 // occurrence wins, which is what std::stable_sort by ID followed by
